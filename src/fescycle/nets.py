@@ -3,28 +3,60 @@
 Everything the agent trains runs through Mlp (ReLU hidden layers, linear
 output) and Adam below; no autodiff framework is involved, so gradient
 correctness is pinned by finite-difference tests instead.
+
+Each net keeps its parameters in one contiguous vector, and parameter
+gradients come back as a vector of the same layout, so the optimizer and
+target tracking are a few elementwise operations per net.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import ShapeMismatch
 
 
-class Mlp:
-    """Feedforward net; params are stored as interleaved [W1, b1, W2, b2, ...]."""
+def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of `flat`, one per shape (C order)."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[start:stop].reshape(shape))
+        start = stop
+    if start != flat.size:
+        raise ShapeMismatch(f"{flat.size} values do not split into shapes {list(shapes)}")
+    return views
 
-    def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
+
+class Mlp:
+    """Feedforward net over one parameter vector `flat`.
+
+    `params` holds views of it in the interleaved order [W1, b1, W2, b2, ...],
+    so writing into either one changes both.  The vector's dtype is the dtype
+    the net computes in.
+    """
+
+    def __init__(self, layer_sizes, rng: np.random.Generator | None = None, dtype=np.float64):
         self.layer_sizes = list(int(n) for n in layer_sizes)
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        self.params: list[np.ndarray] = []
+        self.flat = np.empty(sum(math.prod(s) for s in self.shapes), dtype=dtype)
+        self.params = split(self.flat, self.shapes)
         rng = rng or np.random.default_rng(0)
-        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+        for i, fan_in in enumerate(self.layer_sizes[:-1]):
             bound = 1.0 / np.sqrt(fan_in)
-            self.params.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.params.append(rng.uniform(-bound, bound, size=fan_out))
+            for p in self.params[2 * i : 2 * i + 2]:
+                p[...] = rng.uniform(-bound, bound, size=p.shape)
+
+    @property
+    def shapes(self) -> list[tuple[int, ...]]:
+        """Shapes of the arrays in `params`, in order."""
+        out = []
+        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            out += [(fan_in, fan_out), (fan_out,)]
+        return out
 
     @property
     def n_layers(self) -> int:
@@ -61,57 +93,79 @@ class Mlp:
             return out[0], (hiddens, masks, True)
         return out, (hiddens, masks, False)
 
-    def backward(self, cache, grad_out: np.ndarray):
-        """Gradients of sum(grad_out * output) w.r.t. params and input."""
+    def backward(self, cache, grad_out: np.ndarray, param_grad: bool = True,
+                 input_grad: bool = True):
+        """Gradients of sum(grad_out * output) w.r.t. params and input.
+
+        Returns (flat parameter gradient, input gradient); a part not asked
+        for is None and costs nothing.
+        """
         hiddens, masks, squeezed = cache
         delta = np.asarray(grad_out, dtype=float)
         if squeezed:
             delta = delta[None, :]
-        grads: list[np.ndarray | None] = [None] * len(self.params)
+        grad = np.empty_like(self.flat) if param_grad else None
+        grads = split(grad, self.shapes) if param_grad else None
         for i in range(self.n_layers - 1, -1, -1):
-            grads[2 * i] = hiddens[i].T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+            if param_grad:
+                np.matmul(hiddens[i].T, delta, out=grads[2 * i])
+                np.sum(delta, axis=0, out=grads[2 * i + 1])
             if i > 0:
-                delta = delta @ self.params[2 * i].T
+                delta = _back_through(delta, self.params[2 * i])
                 delta *= masks[i - 1]
-        grad_input = delta @ self.params[0].T
+        if not input_grad:
+            return grad, None
+        grad_input = _back_through(delta, self.params[0])
         if squeezed:
             grad_input = grad_input[0]
-        return grads, grad_input
+        return grad, grad_input
 
-    def copy(self) -> "Mlp":
+    def copy(self, dtype=None) -> "Mlp":
         clone = Mlp.__new__(Mlp)
         clone.layer_sizes = list(self.layer_sizes)
-        clone.params = [p.copy() for p in self.params]
+        clone.flat = self.flat.astype(dtype or self.flat.dtype)
+        clone.params = split(clone.flat, clone.shapes)
         return clone
 
 
-def zeros_like_params(params) -> list[np.ndarray]:
-    return [np.zeros_like(p) for p in params]
+def _back_through(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """delta @ w.T; a width-1 layer is an outer product, where a broadcast
+    multiply gives the same values for less than the GEMM costs."""
+    if w.shape[1] == 1:
+        return delta * w[:, 0]
+    return delta @ w.T
 
 
 class Adam:
-    """Standard Adam with bias correction; state serializes for checkpoints."""
+    """Standard Adam with bias correction over one flat parameter vector.
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    `shapes` splits the vector into the arrays the serialized moments list,
+    one per parameter array.
+    """
+
+    def __init__(self, shapes, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.shapes = [tuple(s) for s in shapes]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = zeros_like_params(params)
-        self.v = zeros_like_params(params)
+        size = sum(math.prod(s) for s in self.shapes)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, params, grads) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One in-place update of the vector `params` from `grads`."""
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        g = np.asarray(grads, dtype=self.m.dtype)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        params -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
     def to_state(self) -> dict:
         return {
@@ -120,14 +174,18 @@ class Adam:
             "beta2": self.beta2,
             "eps": self.eps,
             "t": self.t,
-            "m": [a.tolist() for a in self.m],
-            "v": [a.tolist() for a in self.v],
+            "m": [a.tolist() for a in split(self.m, self.shapes)],
+            "v": [a.tolist() for a in split(self.v, self.shapes)],
         }
 
     @classmethod
-    def from_state(cls, state: dict, params) -> "Adam":
-        opt = cls(params, state["lr"], state["beta1"], state["beta2"], state["eps"])
+    def from_state(cls, state: dict, shapes) -> "Adam":
+        opt = cls(shapes, state["lr"], state["beta1"], state["beta2"], state["eps"])
         opt.t = state["t"]
-        opt.m = [np.array(a, dtype=float).reshape(p.shape) for a, p in zip(state["m"], params)]
-        opt.v = [np.array(a, dtype=float).reshape(p.shape) for a, p in zip(state["v"], params)]
+        for moment, arrays in ((opt.m, state["m"]), (opt.v, state["v"])):
+            if len(arrays) != len(opt.shapes):
+                raise ValueError(f"optimizer state has {len(arrays)} arrays, "
+                                 f"expected {len(opt.shapes)}")
+            for view, a in zip(split(moment, opt.shapes), arrays):
+                view[...] = np.array(a, dtype=float).reshape(view.shape)
         return opt

@@ -312,6 +312,7 @@ def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
         "trials": trials,
         "duration_s": duration_s,
         "transient_s": transient_s,
+        "dt": dt,
     }
 
 

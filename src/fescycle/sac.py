@@ -123,7 +123,7 @@ class SquashedGaussianActor:
         grad_log_std = grad_pre * std * noise + grad_log_std_direct
         clip_mask = (raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)
         grad_out = np.concatenate([grad_mu, grad_log_std * clip_mask], axis=-1)
-        grads, _ = self.trunk.backward(cache["trunk"], grad_out)
+        grads, _ = self.trunk.backward(cache["trunk"], grad_out, input_grad=False)
         return grads
 
 
@@ -221,10 +221,10 @@ class SacAgent:
         self.q2_target = self.q2.copy()
         self.log_alpha = np.array([math.log(tc.alpha_init)])
         self.target_entropy = tc.target_entropy_per_dim * float(n_actions)
-        self.opt_actor = Adam(self.actor.trunk.params, tc.lr)
-        self.opt_q1 = Adam(self.q1.params, tc.lr)
-        self.opt_q2 = Adam(self.q2.params, tc.lr)
-        self.opt_alpha = Adam([self.log_alpha], tc.lr)
+        self.opt_actor = Adam(self.actor.trunk.shapes, tc.lr)
+        self.opt_q1 = Adam(self.q1.shapes, tc.lr)
+        self.opt_q2 = Adam(self.q2.shapes, tc.lr)
+        self.opt_alpha = Adam([self.log_alpha.shape], tc.lr)
 
     @property
     def alpha(self) -> float:
@@ -258,7 +258,8 @@ def critic_loss(agent: SacAgent, batch: dict, tc: TrainConfig, next_noise=None):
 
     Target: r + gamma * (min target-Q(s', a') - alpha * log pi(a'|s')) with
     a' drawn fresh from the current policy; no gradient flows into the target.
-    Returns (loss, (grads_q1, grads_q2), aux).
+    Returns (loss, (grads_q1, grads_q2), aux); aux["q_data"] holds each
+    critic's (values, forward cache) on the data actions.
     """
     obs, act = batch["obs"], batch["act"]
     rew, next_obs = batch["rew"], batch["next_obs"]
@@ -276,9 +277,9 @@ def critic_loss(agent: SacAgent, batch: dict, tc: TrainConfig, next_noise=None):
     e1 = q1 - y
     e2 = q2 - y
     loss = float(np.mean(e1 * e1) + np.mean(e2 * e2))
-    g1, _ = agent.q1.backward(c1, (2.0 * e1 / bsize)[:, None])
-    g2, _ = agent.q2.backward(c2, (2.0 * e2 / bsize)[:, None])
-    return loss, (g1, g2), {"target": y, "q1": q1, "q2": q2}
+    g1, _ = agent.q1.backward(c1, (2.0 * e1 / bsize)[:, None], input_grad=False)
+    g2, _ = agent.q2.backward(c2, (2.0 * e2 / bsize)[:, None], input_grad=False)
+    return loss, (g1, g2), {"target": y, "q1": q1, "q2": q2, "q_data": ((q1, c1), (q2, c2))}
 
 
 def actor_loss(agent: SacAgent, batch: dict, tc: TrainConfig, noise=None):
@@ -303,8 +304,8 @@ def actor_loss(agent: SacAgent, batch: dict, tc: TrainConfig, noise=None):
     pick1 = (q1 <= q2).astype(float)
     grad_q_out1 = (-pick1 / bsize)[:, None]
     grad_q_out2 = (-(1.0 - pick1) / bsize)[:, None]
-    _, din1 = agent.q1.backward(c1, grad_q_out1)
-    _, din2 = agent.q2.backward(c2, grad_q_out2)
+    _, din1 = agent.q1.backward(c1, grad_q_out1, param_grad=False)
+    _, din2 = agent.q2.backward(c2, grad_q_out2, param_grad=False)
     dloss_da = din1[:, agent.obs_dim:] + din2[:, agent.obs_dim:]
 
     a = cache["action"]
@@ -332,14 +333,16 @@ def cql_logsumexp(net: Mlp, obs: np.ndarray, actions: np.ndarray, log_dens: np.n
 
 
 def cql_regularizer(agent: SacAgent, batch: dict, tc: TrainConfig,
-                    rand_actions=None, pol_noise=None):
+                    rand_actions=None, pol_noise=None, q_data=None):
     """Conservative penalty: push Q down on sampled actions, up on data actions.
 
     Per critic: mean_s[ logsumexp_a(Q(s,a) - log q(a)) - Q(s, a_data) ].  The
     cql_num_samples action pool is split between uniform draws over [0,1]^n
     (density 1, so zero log correction) and current-policy draws corrected by
     their log-density.  The policy samples are treated as constants; only
-    critic gradients come back.  Returns (penalty, (grads_q1, grads_q2)).
+    critic gradients come back.  q_data may pass in each critic's (values,
+    forward cache) on the data actions, as critic_loss returns them for the
+    same batch and parameters.  Returns (penalty, (grads_q1, grads_q2)).
     """
     obs, act = batch["obs"], batch["act"]
     bsize = obs.shape[0]
@@ -362,22 +365,24 @@ def cql_regularizer(agent: SacAgent, batch: dict, tc: TrainConfig,
         [np.zeros((bsize, n_rand)), logp_pol.reshape(bsize, n_pol)], axis=1
     )
 
+    nets = (agent.q1, agent.q2)
+    if q_data is None:
+        q_data = [_q_forward(net, obs, act) for net in nets]
     total = 0.0
     grads_out = []
-    for net in (agent.q1, agent.q2):
+    for net, (q, cache_data) in zip(nets, q_data):
         lse, weights, cache = cql_logsumexp(net, obs, pool, log_dens)
-        q_data, cache_data = _q_forward(net, obs, act)
-        total += float(np.mean(lse - q_data))
-        g_pool, _ = net.backward(cache, (weights / bsize).reshape(-1, 1))
-        g_data, _ = net.backward(cache_data, np.full((bsize, 1), -1.0 / bsize))
-        grads_out.append([a + b for a, b in zip(g_pool, g_data)])
+        total += float(np.mean(lse - q))
+        g_pool, _ = net.backward(cache, (weights / bsize).reshape(-1, 1), input_grad=False)
+        g_data, _ = net.backward(cache_data, np.full((bsize, 1), -1.0 / bsize),
+                                 input_grad=False)
+        grads_out.append(g_pool + g_data)
     return total, tuple(grads_out)
 
 
 def _polyak_update(target: Mlp, online: Mlp, tau: float) -> None:
-    for pt, po in zip(target.params, online.params):
-        pt *= 1.0 - tau
-        pt += tau * po
+    target.flat *= 1.0 - tau
+    target.flat += tau * online.flat
 
 
 def sac_update(agent: SacAgent, data, tc: TrainConfig, n_steps: int | None = None) -> SacAgent:
@@ -395,19 +400,19 @@ def sac_update(agent: SacAgent, data, tc: TrainConfig, n_steps: int | None = Non
     for _ in range(steps):
         batch = data.sample(tc.batch, agent.rng)
 
-        loss_q, (g1, g2), _ = critic_loss(agent, batch, tc)
+        loss_q, (g1, g2), aux = critic_loss(agent, batch, tc)
         if tc.cql_weight > 0.0:
-            _, (c1, c2) = cql_regularizer(agent, batch, tc)
-            g1 = [tc.cql_weight * a + 0.5 * b for a, b in zip(c1, g1)]
-            g2 = [tc.cql_weight * a + 0.5 * b for a, b in zip(c2, g2)]
-        agent.opt_q1.step(agent.q1.params, g1)
-        agent.opt_q2.step(agent.q2.params, g2)
+            _, (c1, c2) = cql_regularizer(agent, batch, tc, q_data=aux["q_data"])
+            g1 = tc.cql_weight * c1 + 0.5 * g1
+            g2 = tc.cql_weight * c2 + 0.5 * g2
+        agent.opt_q1.step(agent.q1.flat, g1)
+        agent.opt_q2.step(agent.q2.flat, g2)
 
         _, ga, log_prob = actor_loss(agent, batch, tc)
-        agent.opt_actor.step(agent.actor.trunk.params, ga)
+        agent.opt_actor.step(agent.actor.trunk.flat, ga)
 
         grad_log_alpha = np.array([-float(np.mean(log_prob + agent.target_entropy))])
-        agent.opt_alpha.step([agent.log_alpha], [grad_log_alpha])
+        agent.opt_alpha.step(agent.log_alpha, grad_log_alpha)
 
         _polyak_update(agent.q1_target, agent.q1, tc.polyak)
         _polyak_update(agent.q2_target, agent.q2, tc.polyak)
@@ -423,12 +428,11 @@ def _net_to_doc(net: Mlp) -> dict:
 
 def _net_from_doc(doc: dict) -> Mlp:
     net = Mlp(doc["layer_sizes"])
-    net.params = []
-    sizes = doc["layer_sizes"]
-    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-        w = np.array(doc["params"][2 * i], dtype=float).reshape(fan_in, fan_out)
-        b = np.array(doc["params"][2 * i + 1], dtype=float).reshape(fan_out)
-        net.params.extend([w, b])
+    if len(doc["params"]) != len(net.params):
+        raise ValueError(f"net has {len(doc['params'])} parameter arrays, "
+                         f"expected {len(net.params)}")
+    for view, values in zip(net.params, doc["params"]):
+        view[...] = np.array(values, dtype=float).reshape(view.shape)
     return net
 
 
@@ -468,10 +472,10 @@ def agent_from_json(text: str) -> SacAgent:
     agent.q1_target = _net_from_doc(doc["nets"]["q1_target"])
     agent.q2_target = _net_from_doc(doc["nets"]["q2_target"])
     agent.log_alpha = np.array([doc["log_alpha"]])
-    agent.opt_actor = Adam.from_state(doc["optimizers"]["actor"], agent.actor.trunk.params)
-    agent.opt_q1 = Adam.from_state(doc["optimizers"]["q1"], agent.q1.params)
-    agent.opt_q2 = Adam.from_state(doc["optimizers"]["q2"], agent.q2.params)
-    agent.opt_alpha = Adam.from_state(doc["optimizers"]["alpha"], [agent.log_alpha])
+    agent.opt_actor = Adam.from_state(doc["optimizers"]["actor"], agent.actor.trunk.shapes)
+    agent.opt_q1 = Adam.from_state(doc["optimizers"]["q1"], agent.q1.shapes)
+    agent.opt_q2 = Adam.from_state(doc["optimizers"]["q2"], agent.q2.shapes)
+    agent.opt_alpha = Adam.from_state(doc["optimizers"]["alpha"], [agent.log_alpha.shape])
     return agent
 
 

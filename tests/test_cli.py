@@ -4,7 +4,7 @@ import os
 import pytest
 
 from fescycle import biomech as bm
-from fescycle import cli, sac
+from fescycle import cli, offline, sac
 from fescycle.pattern import StimulationPattern, pattern_from_json, save_pattern
 
 
@@ -182,6 +182,21 @@ class TestCollectFinetuneEvaluate:
         rows = out.read_text().strip().splitlines()
         assert rows[0] == "trial,step,time_s,rpm"
         assert len(rows) == 1 + 2 * 240
+
+    def test_evaluate_time_column_uses_evaluation_dt(self, tmp_path, config_path,
+                                                     pattern_path, monkeypatch):
+        evaluate = offline.evaluate_pattern
+        monkeypatch.setattr(offline, "evaluate_pattern",
+                            lambda *args, **kwargs: evaluate(*args, dt=0.1, **kwargs))
+        out = tmp_path / "eval.csv"
+        rc = cli.main([
+            "evaluate", str(config_path), str(pattern_path),
+            "--out", str(out), "--trials", "1", "--duration", "6", "--seed", "3",
+        ])
+        assert rc == 0
+        rows = out.read_text().strip().splitlines()
+        assert len(rows) == 1 + 60
+        assert [r.split(",")[2] for r in (rows[1], rows[-1])] == ["0.1", "6"]
 
     def test_evaluate_reproducible_byte_for_byte(self, tmp_path, config_path, pattern_path):
         out1 = tmp_path / "eval1.csv"

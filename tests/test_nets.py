@@ -3,7 +3,7 @@ import pytest
 
 from conftest import finite_difference, vector_rel_err
 from fescycle.errors import ShapeMismatch
-from fescycle.nets import Adam, Mlp
+from fescycle.nets import Adam, Mlp, _back_through, split
 
 
 def manual_forward(net, x):
@@ -111,35 +111,120 @@ class TestBackward:
         net.params[2][:, 0] = 1.0
         _, cache = net.forward_cached(np.array([2.0]))
         grads, _ = net.backward(cache, np.array([1.0]))
+        w1_grad = split(grads, net.shapes)[0]
         # incoming weight of the dead unit gets no gradient
-        assert grads[0][0, 1] == 0.0
-        assert grads[0][0, 0] != 0.0
+        assert w1_grad[0, 1] == 0.0
+        assert w1_grad[0, 0] != 0.0
+
+
+class TestFlatParameters:
+    def test_params_are_views_of_flat(self):
+        net = Mlp([3, 5, 2], np.random.default_rng(0))
+        assert all(np.shares_memory(p, net.flat) for p in net.params)
+        assert [p.shape for p in net.params] == net.shapes
+        net.params[2][1, 0] = 7.0
+        assert net.flat[3 * 5 + 5 + 1 * 2 + 0] == 7.0
+        net.flat[-1] = -3.0
+        assert net.params[-1][-1] == -3.0
+
+    def test_copy_is_independent(self):
+        net = Mlp([3, 5, 2], np.random.default_rng(0))
+        clone = net.copy()
+        clone.params[0][0, 0] += 1.0
+        assert clone.flat[0] != net.flat[0]
+        assert all(np.shares_memory(p, clone.flat) for p in clone.params)
+
+    def test_split_rejects_wrong_size(self):
+        with pytest.raises(ShapeMismatch):
+            split(np.zeros(5), [(2, 2)])
+
+
+class TestLeanBackward:
+    @pytest.mark.parametrize("sizes", [[4, 8, 8, 3], [6, 16, 16, 1]])
+    def test_partial_backward_equals_full(self, sizes):
+        rng = np.random.default_rng(11)
+        net = Mlp(sizes, rng)
+        _, cache = net.forward_cached(rng.standard_normal((9, sizes[0])))
+        g_out = rng.standard_normal((9, sizes[-1]))
+        full_params, full_input = net.backward(cache, g_out)
+        params_only, none_input = net.backward(cache, g_out, input_grad=False)
+        none_params, input_only = net.backward(cache, g_out, param_grad=False)
+        assert none_input is None and none_params is None
+        np.testing.assert_array_equal(params_only, full_params)
+        np.testing.assert_array_equal(input_only, full_input)
+
+    def test_width_one_output_layer_matches_gemm(self):
+        rng = np.random.default_rng(12)
+        delta = rng.standard_normal((2560, 1))
+        w = rng.standard_normal((64, 1))
+        np.testing.assert_array_equal(_back_through(delta, w), delta @ w.T)
+
+    def test_gradient_layout_matches_params(self):
+        rng = np.random.default_rng(13)
+        net = Mlp([3, 4, 2], rng)
+        x = rng.standard_normal((5, 3))
+        g_out = rng.standard_normal((5, 2))
+        _, cache = net.forward_cached(x)
+        grads, _ = net.backward(cache, g_out)
+        w1, b1, w2, b2 = split(grads, net.shapes)
+        h = np.maximum(x @ net.params[0] + net.params[1], 0.0)
+        np.testing.assert_allclose(w2, h.T @ g_out, rtol=1e-12)
+        np.testing.assert_allclose(b2, g_out.sum(axis=0), rtol=1e-12)
+
+
+def reference_adam_step(opt, arrays, grads, t):
+    """The per-array Adam update the flat step replaced."""
+    b1c = 1.0 - opt.beta1**t
+    b2c = 1.0 - opt.beta2**t
+    for p, g, m, v in zip(arrays, grads, opt.ref_m, opt.ref_v):
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        p -= opt.lr * (m / b1c) / (np.sqrt(v / b2c) + opt.eps)
 
 
 class TestAdam:
+    def test_flat_step_bitwise_equals_per_array_reference(self):
+        rng = np.random.default_rng(5)
+        net = Mlp([5, 16, 16, 3], rng)
+        flat = net.flat.copy()
+        arrays = [p.copy() for p in net.params]
+        opt = Adam(net.shapes, lr=3e-4)
+        opt.ref_m = [np.zeros(s) for s in net.shapes]
+        opt.ref_v = [np.zeros(s) for s in net.shapes]
+        for t in range(1, 6):
+            grads = rng.standard_normal(flat.size) * 10.0 ** rng.integers(-4, 2)
+            opt.step(flat, grads)
+            reference_adam_step(opt, arrays, split(grads, net.shapes), t)
+        np.testing.assert_array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
+        np.testing.assert_array_equal(opt.m, np.concatenate([a.ravel() for a in opt.ref_m]))
+        np.testing.assert_array_equal(opt.v, np.concatenate([a.ravel() for a in opt.ref_v]))
+
     def test_quadratic_convergence(self):
-        params = [np.array([5.0, -3.0])]
-        opt = Adam(params, lr=0.05)
+        params = np.array([5.0, -3.0])
+        opt = Adam([params.shape], lr=0.05)
         for _ in range(2000):
-            grads = [2.0 * (params[0] - np.array([1.0, 2.0]))]
-            opt.step(params, grads)
-        np.testing.assert_allclose(params[0], [1.0, 2.0], atol=1e-4)
+            opt.step(params, 2.0 * (params - np.array([1.0, 2.0])))
+        np.testing.assert_allclose(params, [1.0, 2.0], atol=1e-4)
 
     def test_state_round_trip(self):
         rng = np.random.default_rng(0)
-        params = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
-        opt = Adam(params, lr=1e-3)
+        shapes = [(3, 2), (2,)]
+        params = rng.standard_normal(8)
+        opt = Adam(shapes, lr=1e-3)
         for _ in range(5):
-            opt.step(params, [np.ones((3, 2)), np.ones(2)])
-        clone = Adam.from_state(opt.to_state(), params)
+            opt.step(params, np.ones(8))
+        state = opt.to_state()
+        assert [np.shape(a) for a in state["m"]] == shapes
+        clone = Adam.from_state(state, shapes)
         assert clone.t == opt.t
-        for a, b in zip(clone.m + clone.v, opt.m + opt.v):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(clone.m, opt.m)
+        np.testing.assert_array_equal(clone.v, opt.v)
         # both optimizers continue identically
-        p1 = [p.copy() for p in params]
-        p2 = [p.copy() for p in params]
-        g = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
+        p1 = params.copy()
+        p2 = params.copy()
+        g = rng.standard_normal(8)
         opt.step(p1, g)
         clone.step(p2, g)
-        for a, b in zip(p1, p2):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(p1, p2)

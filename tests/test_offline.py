@@ -212,5 +212,6 @@ class TestEvaluatePattern:
         result = offline.evaluate_pattern(config, muscles, base_pattern,
                                           duration_s=20.0, n_trials=3, seed=11)
         assert 30.0 < result["mean_rpm"] < 70.0
+        assert result["dt"] == 0.05
         for trial in result["trials"]:
             assert trial["rpm_trace"].shape == (400,)

@@ -184,8 +184,7 @@ class TestActorLoss:
         batch = make_batch(rng, 16)
         noise = rng.standard_normal((16, 2))
         before, grads, _ = sac.actor_loss(agent, batch, tc, noise=noise)
-        for p, g in zip(agent.actor.trunk.params, grads):
-            p -= 1e-3 * g
+        agent.actor.trunk.flat -= 1e-3 * grads
         after, _, _ = sac.actor_loss(agent, batch, tc, noise=noise)
         assert after < before
 
@@ -230,6 +229,21 @@ class TestCqlRegularizer:
         # h=1e-6: the exp inside logsumexp makes larger steps truncation-bound
         fd = finite_difference(agent.q1.params + agent.q2.params, value, h=1e-6)
         assert vector_rel_err(list(g1) + list(g2), fd) < 1e-4
+
+    def test_reused_data_forward_gives_identical_result(self):
+        agent, tc = make_agent(cql_num_samples=4)
+        rng = np.random.default_rng(13)
+        batch = make_batch(rng, 6)
+        rand_actions = rng.uniform(size=(6, 2, 2))
+        pol_noise = rng.standard_normal((12, 2))
+        _, _, aux = sac.critic_loss(agent, batch, tc, next_noise=rng.standard_normal((6, 2)))
+        alone = sac.cql_regularizer(agent, batch, tc, rand_actions=rand_actions,
+                                    pol_noise=pol_noise)
+        reused = sac.cql_regularizer(agent, batch, tc, rand_actions=rand_actions,
+                                     pol_noise=pol_noise, q_data=aux["q_data"])
+        assert reused[0] == alone[0]
+        for a, b in zip(reused[1], alone[1]):
+            np.testing.assert_array_equal(a, b)
 
     def test_logsumexp_estimator_matches_dense_grid(self):
         """Importance-corrected sampled estimator vs direct integration of
@@ -365,6 +379,17 @@ class TestSacUpdate:
         assert any(
             not np.array_equal(a, b) for a, b in zip(agent.q1.params, online_before)
         )
+
+    def test_flat_polyak_bitwise_equals_per_array_reference(self):
+        agent, tc = make_agent()
+        agent.q1.flat += 0.1
+        want = [p.copy() for p in agent.q1_target.params]
+        for pt, po in zip(want, agent.q1.params):
+            pt *= 1.0 - tc.polyak
+            pt += tc.polyak * po
+        sac._polyak_update(agent.q1_target, agent.q1, tc.polyak)
+        for got, ref in zip(agent.q1_target.params, want):
+            np.testing.assert_array_equal(got, ref)
 
     def test_fixed_seed_reproduces_parameters(self):
         def run():
