@@ -34,29 +34,25 @@ class Mlp:
     """Feedforward net over one parameter vector `flat`.
 
     `params` holds views of it in the interleaved order [W1, b1, W2, b2, ...],
-    so writing into either one changes both.  The vector's dtype is the dtype
-    the net computes in.
+    so writing into either one changes both.  A net computes in the dtype of
+    its vector: float64, or whatever copy(dtype) gave it.
     """
 
-    def __init__(self, layer_sizes, rng: np.random.Generator | None = None, dtype=np.float64):
+    def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
         self.layer_sizes = list(int(n) for n in layer_sizes)
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        self.flat = np.empty(sum(math.prod(s) for s in self.shapes), dtype=dtype)
+        # shapes of the arrays in `params`, in order
+        self.shapes = []
+        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            self.shapes += [(fan_in, fan_out), (fan_out,)]
+        self.flat = np.empty(sum(math.prod(s) for s in self.shapes))
         self.params = split(self.flat, self.shapes)
         rng = rng or np.random.default_rng(0)
         for i, fan_in in enumerate(self.layer_sizes[:-1]):
             bound = 1.0 / np.sqrt(fan_in)
             for p in self.params[2 * i : 2 * i + 2]:
                 p[...] = rng.uniform(-bound, bound, size=p.shape)
-
-    @property
-    def shapes(self) -> list[tuple[int, ...]]:
-        """Shapes of the arrays in `params`, in order."""
-        out = []
-        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-            out += [(fan_in, fan_out), (fan_out,)]
-        return out
 
     @property
     def n_layers(self) -> int:
@@ -67,7 +63,7 @@ class Mlp:
         return y
 
     def forward_cached(self, x: np.ndarray):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=self.flat.dtype)
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
@@ -76,22 +72,21 @@ class Mlp:
                 f"expected input dim {self.layer_sizes[0]}, got {x.shape[1]}"
             )
         # hidden activations are computed in place (ReLU over the
-        # pre-activation buffer); the cache keeps the active-unit masks
+        # pre-activation buffer); a unit is active where its activation is
+        # positive, so backward derives the ReLU masks from the cache
         h = x
         hiddens = [x]
-        masks = []
         for i in range(self.n_layers - 1):
             z = h @ self.params[2 * i]
             z += self.params[2 * i + 1]
-            masks.append(z > 0.0)
             np.maximum(z, 0.0, out=z)
             h = z
             hiddens.append(h)
         out = h @ self.params[-2]
         out = out + self.params[-1]
         if squeeze:
-            return out[0], (hiddens, masks, True)
-        return out, (hiddens, masks, False)
+            return out[0], (hiddens, True)
+        return out, (hiddens, False)
 
     def backward(self, cache, grad_out: np.ndarray, param_grad: bool = True,
                  input_grad: bool = True):
@@ -100,19 +95,22 @@ class Mlp:
         Returns (flat parameter gradient, input gradient); a part not asked
         for is None and costs nothing.
         """
-        hiddens, masks, squeezed = cache
-        delta = np.asarray(grad_out, dtype=float)
+        hiddens, squeezed = cache
+        delta = np.asarray(grad_out, dtype=self.flat.dtype)
         if squeezed:
             delta = delta[None, :]
         grad = np.empty_like(self.flat) if param_grad else None
         grads = split(grad, self.shapes) if param_grad else None
+        # bias gradients as ones @ delta: a GEMV, several times faster here
+        # than delta.sum(axis=0)
+        ones = np.ones(delta.shape[0], dtype=delta.dtype)
         for i in range(self.n_layers - 1, -1, -1):
             if param_grad:
                 np.matmul(hiddens[i].T, delta, out=grads[2 * i])
-                np.sum(delta, axis=0, out=grads[2 * i + 1])
+                np.matmul(ones, delta, out=grads[2 * i + 1])
             if i > 0:
                 delta = _back_through(delta, self.params[2 * i])
-                delta *= masks[i - 1]
+                delta *= hiddens[i] > 0.0
         if not input_grad:
             return grad, None
         grad_input = _back_through(delta, self.params[0])
@@ -123,6 +121,7 @@ class Mlp:
     def copy(self, dtype=None) -> "Mlp":
         clone = Mlp.__new__(Mlp)
         clone.layer_sizes = list(self.layer_sizes)
+        clone.shapes = list(self.shapes)
         clone.flat = self.flat.astype(dtype or self.flat.dtype)
         clone.params = split(clone.flat, clone.shapes)
         return clone

@@ -9,6 +9,7 @@ top of nets.Mlp.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -16,13 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import InsufficientData, NonFiniteState
 from .nets import Adam, Mlp
 
 HIDDEN = (64, 64)
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 LOG_2PI = math.log(2.0 * math.pi)
+# dtype of the working copies the gradient steps compute on; the master
+# parameters, optimizer moments and checkpoints stay float64
+WORK_DTYPE = np.float32
 
 STOCHASTIC = "stochastic"
 DETERMINISTIC = "deterministic"
@@ -81,6 +85,7 @@ class SquashedGaussianActor:
     def sample_cached(self, obs: np.ndarray, noise: np.ndarray):
         """Reparameterised sample with everything the backward pass needs."""
         out, trunk_cache = self.trunk.forward_cached(obs)
+        noise = np.asarray(noise, dtype=out.dtype)
         n = self.n_actions
         mu = out[..., :n]
         raw = out[..., n:]
@@ -277,6 +282,7 @@ def critic_loss(agent: SacAgent, batch: dict, tc: TrainConfig, next_noise=None):
     e1 = q1 - y
     e2 = q2 - y
     loss = float(np.mean(e1 * e1) + np.mean(e2 * e2))
+    _require_finite("critic", loss)
     g1, _ = agent.q1.backward(c1, (2.0 * e1 / bsize)[:, None], input_grad=False)
     g2, _ = agent.q2.backward(c2, (2.0 * e2 / bsize)[:, None], input_grad=False)
     return loss, (g1, g2), {"target": y, "q1": q1, "q2": q2, "q_data": ((q1, c1), (q2, c2))}
@@ -300,6 +306,7 @@ def actor_loss(agent: SacAgent, batch: dict, tc: TrainConfig, noise=None):
     q2, c2 = _q_forward(agent.q2, obs, action)
     q_min = np.minimum(q1, q2)
     loss = float(np.mean(alpha * log_prob - q_min))
+    _require_finite("actor", loss)
 
     pick1 = (q1 <= q2).astype(float)
     grad_q_out1 = (-pick1 / bsize)[:, None]
@@ -369,10 +376,14 @@ def cql_regularizer(agent: SacAgent, batch: dict, tc: TrainConfig,
     if q_data is None:
         q_data = [_q_forward(net, obs, act) for net in nets]
     total = 0.0
-    grads_out = []
-    for net, (q, cache_data) in zip(nets, q_data):
+    pools = []
+    for net, (q, _) in zip(nets, q_data):
         lse, weights, cache = cql_logsumexp(net, obs, pool, log_dens)
         total += float(np.mean(lse - q))
+        pools.append((weights, cache))
+    _require_finite("cql", total)
+    grads_out = []
+    for net, (weights, cache), (_, cache_data) in zip(nets, pools, q_data):
         g_pool, _ = net.backward(cache, (weights / bsize).reshape(-1, 1), input_grad=False)
         g_data, _ = net.backward(cache_data, np.full((bsize, 1), -1.0 / bsize),
                                  input_grad=False)
@@ -385,38 +396,79 @@ def _polyak_update(target: Mlp, online: Mlp, tau: float) -> None:
     target.flat += tau * online.flat
 
 
+def _require_finite(term: str, loss: float, *grads: np.ndarray) -> None:
+    if not math.isfinite(loss) or not all(np.isfinite(g).all() for g in grads):
+        raise NonFiniteState(f"{term} loss or gradient is not finite")
+
+
+def working_copy(agent: SacAgent, dtype) -> SacAgent:
+    """Shallow copy of `agent` whose five nets compute in `dtype`.
+
+    It shares the agent's rng, log_alpha and configuration, so the loss
+    functions draw the same random numbers from it as from the agent.
+    """
+    work = copy.copy(agent)
+    work.actor = copy.copy(agent.actor)
+    work.actor.trunk = agent.actor.trunk.copy(dtype)
+    for name in ("q1", "q2", "q1_target", "q2_target"):
+        setattr(work, name, getattr(agent, name).copy(dtype))
+    return work
+
+
 def sac_update(agent: SacAgent, data, tc: TrainConfig, n_steps: int | None = None) -> SacAgent:
     """Run gradient steps from uniformly sampled batches.
 
     One step = critic step (TD loss, plus the weighted conservative term and
     the 1/2 TD scaling when cql_weight > 0), actor step, temperature step
     toward the entropy target, then Polyak target tracking.
+
+    Losses and gradients are computed on WORK_DTYPE working copies of the
+    nets; Adam and Polyak update the float64 masters, and each working copy
+    is refreshed from its master right after the master changes.  A
+    non-finite loss or gradient raises NonFiniteState before it reaches the
+    parameters.
     """
     if len(data) < tc.batch:
         raise InsufficientData(
             f"need at least {tc.batch} tuples, have {len(data)}"
         )
     steps = tc.grad_steps_per_episode if n_steps is None else n_steps
-    for _ in range(steps):
-        batch = data.sample(tc.batch, agent.rng)
-
-        loss_q, (g1, g2), aux = critic_loss(agent, batch, tc)
-        if tc.cql_weight > 0.0:
-            _, (c1, c2) = cql_regularizer(agent, batch, tc, q_data=aux["q_data"])
-            g1 = tc.cql_weight * c1 + 0.5 * g1
-            g2 = tc.cql_weight * c2 + 0.5 * g2
-        agent.opt_q1.step(agent.q1.flat, g1)
-        agent.opt_q2.step(agent.q2.flat, g2)
-
-        _, ga, log_prob = actor_loss(agent, batch, tc)
-        agent.opt_actor.step(agent.actor.trunk.flat, ga)
-
-        grad_log_alpha = np.array([-float(np.mean(log_prob + agent.target_entropy))])
-        agent.opt_alpha.step(agent.log_alpha, grad_log_alpha)
-
-        _polyak_update(agent.q1_target, agent.q1, tc.polyak)
-        _polyak_update(agent.q2_target, agent.q2, tc.polyak)
+    work = working_copy(agent, WORK_DTYPE)
+    for step in range(1, steps + 1):
+        try:
+            _gradient_step(agent, work, data.sample(tc.batch, agent.rng), tc)
+        except NonFiniteState as exc:
+            raise NonFiniteState(f"gradient step {step} of {steps}: {exc}") from None
     return agent
+
+
+def _gradient_step(agent: SacAgent, work: SacAgent, batch: dict, tc: TrainConfig) -> None:
+    batch = {key: np.asarray(value, dtype=WORK_DTYPE) for key, value in batch.items()}
+    loss_q, (g1, g2), aux = critic_loss(work, batch, tc)
+    _require_finite("critic", loss_q, g1, g2)
+    if tc.cql_weight > 0.0:
+        loss_c, (c1, c2) = cql_regularizer(work, batch, tc, q_data=aux["q_data"])
+        _require_finite("cql", loss_c, c1, c2)
+        g1 = tc.cql_weight * c1 + 0.5 * g1
+        g2 = tc.cql_weight * c2 + 0.5 * g2
+    agent.opt_q1.step(agent.q1.flat, g1)
+    agent.opt_q2.step(agent.q2.flat, g2)
+    work.q1.flat[...] = agent.q1.flat
+    work.q2.flat[...] = agent.q2.flat
+
+    loss_a, ga, log_prob = actor_loss(work, batch, tc)
+    _require_finite("actor", loss_a, ga)
+    agent.opt_actor.step(agent.actor.trunk.flat, ga)
+    work.actor.trunk.flat[...] = agent.actor.trunk.flat
+
+    grad_log_alpha = np.array([-float(np.mean(log_prob + agent.target_entropy))])
+    _require_finite("alpha", float(grad_log_alpha[0]))
+    agent.opt_alpha.step(agent.log_alpha, grad_log_alpha)
+
+    _polyak_update(agent.q1_target, agent.q1, tc.polyak)
+    _polyak_update(agent.q2_target, agent.q2, tc.polyak)
+    work.q1_target.flat[...] = agent.q1_target.flat
+    work.q2_target.flat[...] = agent.q2_target.flat
 
 
 def _net_to_doc(net: Mlp) -> dict:

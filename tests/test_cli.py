@@ -141,6 +141,36 @@ class TestCollectFinetuneEvaluate:
         loaded = sac.load_agent(out_path)
         assert loaded.tc.cql_weight == 5.0  # offline default kicks in
 
+    def test_finetune_non_finite_log_is_domain_error(self, tmp_path, config_path,
+                                                     pattern_path, capsys):
+        out_dir = tmp_path / "logs"
+        cli.main([
+            "collect", str(config_path), str(pattern_path),
+            "--out", str(out_dir), "--sessions", "2", "--duration", "4",
+            "--seed", "5",
+        ])
+        log = out_dir / "session00.csv"
+        header, *rows = log.read_text().splitlines()
+        rows = [",".join(cells[:2] + ["nan"] + cells[3:])
+                for cells in (row.split(",") for row in rows)]
+        log.write_text("\n".join([header, *rows]) + "\n")
+        agent_path = tmp_path / "agent.json"
+        sac.save_agent(constant_agent(), agent_path)
+        train_path = tmp_path / "train.json"
+        train_path.write_text(json.dumps({
+            "batch": 64, "grad_steps_per_episode": 5, "cql_num_samples": 4,
+        }))
+        out_path = tmp_path / "agent_ft.json"
+        rc = cli.main([
+            "finetune", str(agent_path), str(out_dir), str(train_path),
+            "--out", str(out_path), "--epochs", "1", "--seed", "1",
+        ])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NonFiniteState"
+        assert "gradient step 1 of 5: critic" in err["message"]
+        assert not out_path.exists()
+
     def test_finetune_insufficient_data(self, tmp_path, config_path, pattern_path, capsys):
         out_dir = tmp_path / "logs"
         cli.main([

@@ -172,11 +172,11 @@ class TestLeanBackward:
         np.testing.assert_allclose(b2, g_out.sum(axis=0), rtol=1e-12)
 
 
-def reference_adam_step(opt, arrays, grads, t):
+def reference_adam_step(opt, arrays, grads, moments_m, moments_v, t):
     """The per-array Adam update the flat step replaced."""
     b1c = 1.0 - opt.beta1**t
     b2c = 1.0 - opt.beta2**t
-    for p, g, m, v in zip(arrays, grads, opt.ref_m, opt.ref_v):
+    for p, g, m, v in zip(arrays, grads, moments_m, moments_v):
         m *= opt.beta1
         m += (1.0 - opt.beta1) * g
         v *= opt.beta2
@@ -191,15 +191,14 @@ class TestAdam:
         flat = net.flat.copy()
         arrays = [p.copy() for p in net.params]
         opt = Adam(net.shapes, lr=3e-4)
-        opt.ref_m = [np.zeros(s) for s in net.shapes]
-        opt.ref_v = [np.zeros(s) for s in net.shapes]
+        ref_m = [np.zeros(s) for s in net.shapes]
+        ref_v = [np.zeros(s) for s in net.shapes]
         for t in range(1, 6):
             grads = rng.standard_normal(flat.size) * 10.0 ** rng.integers(-4, 2)
             opt.step(flat, grads)
-            reference_adam_step(opt, arrays, split(grads, net.shapes), t)
-        np.testing.assert_array_equal(flat, np.concatenate([a.ravel() for a in arrays]))
-        np.testing.assert_array_equal(opt.m, np.concatenate([a.ravel() for a in opt.ref_m]))
-        np.testing.assert_array_equal(opt.v, np.concatenate([a.ravel() for a in opt.ref_v]))
+            reference_adam_step(opt, arrays, split(grads, net.shapes), ref_m, ref_v, t)
+        for got, ref in ((flat, arrays), (opt.m, ref_m), (opt.v, ref_v)):
+            np.testing.assert_array_equal(got, np.concatenate([a.ravel() for a in ref]))
 
     def test_quadratic_convergence(self):
         params = np.array([5.0, -3.0])

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import finite_difference, vector_rel_err
 from fescycle import sac
-from fescycle.errors import InsufficientData
+from fescycle.errors import InsufficientData, NonFiniteState
 
 KS_CRIT_P01 = 1.62762  # Kolmogorov critical value at alpha = 0.01, large n
 
@@ -415,6 +415,91 @@ class TestSacUpdate:
         sac.sac_update(agent, buf, tc, n_steps=50)
         assert agent.alpha != before
         assert math.isfinite(agent.alpha)
+
+
+class TestWorkingCopies:
+    def test_float32_gradients_match_float64(self):
+        agent, tc = make_agent(cql_num_samples=4)
+        work = sac.working_copy(agent, np.float32)
+        rng = np.random.default_rng(21)
+        batch = make_batch(rng, 256)
+        next_noise = rng.standard_normal((256, 2))
+        noise = rng.standard_normal((256, 2))
+        rand_actions = rng.uniform(size=(256, 2, 2))
+        pol_noise = rng.standard_normal((512, 2))
+        grads = {}
+        for name, net_agent in (("f64", agent), ("f32", work)):
+            _, g_critic, _ = sac.critic_loss(net_agent, batch, tc, next_noise=next_noise)
+            _, g_actor, _ = sac.actor_loss(net_agent, batch, tc, noise=noise)
+            _, g_cql = sac.cql_regularizer(net_agent, batch, tc, rand_actions=rand_actions,
+                                           pol_noise=pol_noise)
+            grads[name] = (g_critic, [g_actor], g_cql)
+            assert all(g.dtype == np.dtype(name.replace("f", "float"))
+                       for group in grads[name] for g in group)
+        for g64, g32 in zip(grads["f64"], grads["f32"]):
+            assert vector_rel_err(g32, g64) < 1e-4
+
+    def test_step_updates_float64_masters_and_refreshes_copies(self):
+        agent, tc = make_agent()
+        rng = np.random.default_rng(0)
+        buf = TestSacUpdate()._filled_buffer(rng)
+        work = sac.working_copy(agent, np.float32)
+        before = agent.q1_target.flat.copy()
+        sac._gradient_step(agent, work, buf.sample(tc.batch, agent.rng), tc)
+        assert not np.array_equal(agent.q1_target.flat, before)
+        for name in ("q1", "q2", "q1_target", "q2_target"):
+            master, copy = getattr(agent, name), getattr(work, name)
+            assert master.flat.dtype == np.float64
+            np.testing.assert_array_equal(copy.flat, master.flat.astype(np.float32))
+        np.testing.assert_array_equal(work.actor.trunk.flat,
+                                      agent.actor.trunk.flat.astype(np.float32))
+        assert work.log_alpha is agent.log_alpha and work.rng is agent.rng
+
+    def test_checkpoint_after_float32_steps_is_float64(self):
+        agent, tc = make_agent()
+        rng = np.random.default_rng(0)
+        buf = TestSacUpdate()._filled_buffer(rng)
+        sac.sac_update(agent, buf, tc, n_steps=5)
+        # the masters keep float64 detail a float32 round trip would lose
+        flat = agent.q1.flat
+        assert flat.dtype == np.float64
+        assert np.any(flat != flat.astype(np.float32).astype(np.float64))
+        assert agent.opt_q1.m.dtype == np.float64
+        text = sac.agent_to_json(agent)
+        again = sac.agent_from_json(text)
+        np.testing.assert_array_equal(again.q1.flat, agent.q1.flat)
+        np.testing.assert_array_equal(again.opt_actor.v, agent.opt_actor.v)
+        assert sac.agent_to_json(again) == text
+
+
+class TestNonFiniteGuard:
+    def _data(self, rng, n=300, bad_reward=None):
+        buf = TestSacUpdate()._filled_buffer(rng, n=n)
+        if bad_reward is not None:
+            buf._rew[: len(buf)] = bad_reward
+        return buf
+
+    def test_infinite_reward_names_step_and_critic(self):
+        agent, tc = make_agent(batch=32)
+        data = self._data(np.random.default_rng(0), bad_reward=np.inf)
+        before = agent.q1.flat.copy()
+        with pytest.raises(NonFiniteState, match=r"gradient step 1 of 1000: critic"):
+            sac.sac_update(agent, data, tc)
+        np.testing.assert_array_equal(agent.q1.flat, before)
+
+    def test_cql_term_is_named(self, monkeypatch):
+        agent, tc = make_agent(batch=32, cql_weight=1.0, cql_num_samples=2)
+        data = self._data(np.random.default_rng(0))
+        real = sac.cql_logsumexp
+
+        def overflowing(net, obs, actions, log_dens):
+            lse, weights, cache = real(net, obs, actions, log_dens)
+            return np.full_like(lse, np.inf), weights, cache
+
+        # finite TD loss, overflowing log-sum-exp over the sampled pool
+        monkeypatch.setattr(sac, "cql_logsumexp", overflowing)
+        with pytest.raises(NonFiniteState, match=r"gradient step 1 of 3: cql"):
+            sac.sac_update(agent, data, tc, n_steps=3)
 
 
 class TestCheckpoint:
