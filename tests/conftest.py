@@ -11,6 +11,23 @@ import pytest
 from fescycle import biomech as bm
 
 
+# acceptance-gate fixtures ranked by the training behind them; the gate runs
+# after the unit tests, and within it the criteria that need the fewest
+# training runs come first, so a broken unit shows in seconds and the cheap
+# criteria report before the long learning-curve study
+GATE_FIXTURE_COST = {"nominal_agents": 1, "finetune_results": 2, "curve_study": 3}
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_collection_modifyitems(items):
+    def cost(item):
+        if item.path.name != "test_acceptance.py":
+            return 0
+        return 1 + max((GATE_FIXTURE_COST.get(f, 0) for f in item.fixturenames), default=0)
+
+    items.sort(key=cost)
+
+
 @pytest.fixture(scope="session")
 def nominal_2m():
     return bm.validate_config(bm.nominal_config(2))

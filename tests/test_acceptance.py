@@ -8,6 +8,7 @@ suite's runtime; workers parallelize across the available cores.
 import math
 import multiprocessing as mp
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -108,14 +109,16 @@ def _finetune_worker(job):
 
 
 def _pool():
-    return mp.get_context("fork").Pool(2)
+    # a worker that dies (out of memory, a signal) breaks the executor with an
+    # error, where multiprocessing.Pool.map would wait for its result forever
+    return ProcessPoolExecutor(2, mp_context=mp.get_context("fork"))
 
 
 @pytest.fixture(scope="module")
 def nominal_agents():
     jobs = [("nominal", -1, 2, 100), ("nominal", -1, 3, 100)]
     with _pool() as pool:
-        results = pool.map(_train_worker, jobs)
+        results = list(pool.map(_train_worker, jobs))
     return {r["n_muscles"]: r for r in results}
 
 
@@ -127,7 +130,7 @@ def curve_study():
         for n_muscles in (2, 3)
     ]
     with _pool() as pool:
-        results = pool.map(_train_worker, jobs)
+        results = list(pool.map(_train_worker, jobs))
     return results
 
 
@@ -247,7 +250,7 @@ class TestCriterion4FinetuningImprovement:
         agent_json = nominal_agents[2]["agent_json"]
         jobs = [(gap_seed, agent_json, 900 + gap_seed) for gap_seed in GAP_SEEDS]
         with _pool() as pool:
-            return pool.map(_finetune_worker, jobs)
+            return list(pool.map(_finetune_worker, jobs))
 
     def test_fine_tuned_pattern_improves_on_gap_rig(self, finetune_results):
         mb = [r["mb_rpm"] for r in finetune_results]
