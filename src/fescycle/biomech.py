@@ -214,20 +214,20 @@ def _leg_kinematics(config: CyclingConfig, crank_angle: float, side: str):
     s = config.shank_len
 
     ck = (t * t + s * s - d2) / (2.0 * t * s)
-    ck = min(1.0, max(-1.0, ck))
-    knee = math.acos(ck)
+    knee = math.acos(1.0 if ck > 1.0 else (-1.0 if ck < -1.0 else ck))
 
     gamma = math.atan2(ry, rx)
     cd = (t * t + d2 - s * s) / (2.0 * t * d)
-    cd = min(1.0, max(-1.0, cd))
-    dev = math.acos(cd)
+    dev = math.acos(1.0 if cd > 1.0 else (-1.0 if cd < -1.0 else cd))
     # Knee goes on the clockwise side of the hip->pedal ray: that is the
     # anatomically forward side for a rider seated at +x facing the crank.
     alpha = gamma - dev
     hip = alpha - config.seat_angle
 
-    pdx = -ca * math.sin(theta)
-    pdy = ca * math.cos(theta)
+    # pedal velocity per unit crank angle: the position turned a quarter
+    # turn, bit-equal to (-ca * sin(theta), ca * cos(theta))
+    pdx = -py
+    pdy = px
     ddot = (rx * pdx + ry * pdy) / d
     sk = math.sin(knee)
     dknee = d * ddot / (t * s * sk) if sk > 1e-12 else 0.0
@@ -371,20 +371,54 @@ def default_muscle_set(config: CyclingConfig) -> tuple[MuscleParams, ...]:
     return (quad, ham, glut)
 
 
-def _crank_torque_raw(config, muscles, crank_angle, cadence, activations) -> float:
-    n = len(muscles)
+def _muscle_terms(muscles) -> tuple:
+    """Per-muscle (t_max, hip, knee) for _crank_torque_raw; a joint entry is
+    (share, opt, width, sign of share), or None where the share is 0."""
+
+    def joint(share, opt, width):
+        return None if share == 0.0 else (share, opt, width, 1.0 if share > 0 else -1.0)
+
+    return tuple(
+        (m.t_max, joint(m.hip_share, m.hip_opt, m.hip_width),
+         joint(m.knee_share, m.knee_opt, m.knee_width))
+        for m in muscles
+    )
+
+
+def _crank_torque_raw(config, terms, crank_angle, cadence, activations) -> float:
+    """Virtual-work crank torque over _muscle_terms.
+
+    muscle_joint_torques, _bump and _fv are inlined in their own operation
+    order, so the result is bit-equal to summing muscle_joint_torques.  A leg
+    with no positive activation would add only zeros and is skipped.
+    """
+    n = len(terms)
     total = 0.0
-    for li, side in enumerate((RIGHT, LEFT)):
+    for base, side in ((0, RIGHT), (n, LEFT)):
+        leg = activations[base:base + n]
+        if max(leg) <= 0.0:
+            continue
         hip, knee, dhip, dknee = _leg_kinematics(config, crank_angle, side)
         hip_vel = dhip * cadence
         knee_vel = dknee * cadence
-        joints = JointAngles(hip, knee)
-        base = li * n
-        for mi in range(n):
-            a = activations[base + mi]
-            if a <= 0.0:
+        for a, (t_max, hip_terms, knee_terms) in zip(leg, terms):
+            if not a > 0.0:
                 continue
-            th, tk = muscle_joint_torques(muscles[mi], a, joints, (hip_vel, knee_vel))
+            th = tk = 0.0
+            if hip_terms is not None:
+                share, opt, width, sign = hip_terms
+                x = (hip - opt) / width
+                if -0.5 < x < 0.5:
+                    f = 1.0 - sign * hip_vel / FV_OMEGA_MAX
+                    f = 0.0 if f < 0.0 else (FV_ECCENTRIC_CAP if f > FV_ECCENTRIC_CAP else f)
+                    th = a * t_max * (share * math.cos(math.pi * x)) * f
+            if knee_terms is not None:
+                share, opt, width, sign = knee_terms
+                x = (knee - opt) / width
+                if -0.5 < x < 0.5:
+                    f = 1.0 - sign * knee_vel / FV_OMEGA_MAX
+                    f = 0.0 if f < 0.0 else (FV_ECCENTRIC_CAP if f > FV_ECCENTRIC_CAP else f)
+                    tk = a * t_max * (share * math.cos(math.pi * x)) * f
             total += th * dhip + tk * dknee
     return total
 
@@ -392,7 +426,7 @@ def _crank_torque_raw(config, muscles, crank_angle, cadence, activations) -> flo
 def crank_torque(config: CyclingConfig, muscles, state: SimState) -> float:
     """Net crank torque from all muscles of both legs via virtual work."""
     return _crank_torque_raw(
-        config, muscles, state.crank_angle, state.cadence, state.activations
+        config, _muscle_terms(muscles), state.crank_angle, state.cadence, state.activations
     )
 
 
@@ -424,6 +458,8 @@ def sim_step(
     n = len(muscles)
     if len(controls) != 2 * n:
         raise ValueError(f"expected {2 * n} controls, got {len(controls)}")
+    if not dt_control > 0:
+        raise NonPositiveParameter("dt_control", dt_control)
     u = [min(1.0, max(0.0, float(c))) for c in controls]
 
     theta = state.crank_angle
@@ -436,11 +472,16 @@ def sim_step(
     n_sub = max(1, round(dt_control / INNER_DT))
     dt = dt_control / n_sub
     visc_div = 1.0 + dt * viscous / inertia
+    terms = _muscle_terms(muscles)
+    # activation_step's decay factor per activation, right leg then left
+    decay = [math.exp(-dt / m.activation_tau) for m in muscles] * 2
 
     for _ in range(n_sub):
-        torque = _crank_torque_raw(config, muscles, theta, omega, acts)
+        torque = _crank_torque_raw(config, terms, theta, omega, acts)
         for i in range(2 * n):
-            acts[i] = activation_step(acts[i], u[i], dt, muscles[i % n].activation_tau)
+            a = u[i] + (acts[i] - u[i]) * decay[i]
+            # activation_step's clamp to [0, 1], nan included
+            acts[i] = a if 0.0 < a < 1.0 else (1.0 if a >= 1.0 else 0.0)
         if abs(omega) < STICTION_CADENCE and abs(torque) <= coulomb:
             omega = 0.0
         else:

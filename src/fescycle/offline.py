@@ -20,7 +20,7 @@ import numpy as np
 from . import biomech, pattern as patterns, sac
 from .biomech import LEFT, RIGHT, CyclingConfig
 from .env import reward
-from .errors import InconsistentConfig, InsufficientData
+from .errors import InconsistentConfig, InsufficientData, NonFiniteState, ShapeMismatch
 from .pattern import PatternPerturbation, StimulationPattern, pattern_control
 
 RPM_PER_RAD_S = 60.0 / (2.0 * math.pi)
@@ -342,24 +342,36 @@ def save_session_log(log: SessionLog, csv_path) -> None:
 
 
 def load_session_log(csv_path) -> SessionLog:
+    """Read a log written by save_session_log.
+
+    Raises ShapeMismatch when the CSV's row count differs from the sidecar's
+    and NonFiniteState, naming the row and column, on any non-finite value.
+    """
     with open(str(csv_path) + ".json") as fh:
         sidecar = json.load(fh)
-    times, angles, cadences, controls = [], [], [], []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        n2 = len(header) - 3
-        for row in reader:
-            times.append(float(row[0]))
-            angles.append(float(row[1]))
-            cadences.append(float(row[2]))
-            controls.append([float(v) for v in row[3 : 3 + n2]])
+        table = np.array(
+            [[float(v) for v in row[: len(header)]] for row in reader]
+        ).reshape(-1, len(header))
+    if len(table) != sidecar["rows"]:
+        raise ShapeMismatch(
+            f"{csv_path}: sidecar lists {sidecar['rows']} rows, the CSV has {len(table)}"
+        )
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        row, col = bad[0]
+        raise NonFiniteState(
+            f"{csv_path}: row {row + 1}, column {header[col]}: "
+            f"{table[row, col]} is not finite"
+        )
     return SessionLog(
         pattern_id=sidecar["pattern_id"],
         config_hash=sidecar["config_hash"],
         dt=sidecar["dt"],
-        times=np.array(times),
-        crank_angles=np.array(angles),
-        cadences=np.array(cadences),
-        controls=np.array(controls),
+        times=table[:, 0],
+        crank_angles=table[:, 1],
+        cadences=table[:, 2],
+        controls=table[:, 3:],
     )

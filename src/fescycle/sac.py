@@ -357,7 +357,10 @@ def cql_regularizer(agent: SacAgent, batch: dict, tc: TrainConfig,
     n_rand = max(1, tc.cql_num_samples // 2)
     n_pol = max(1, tc.cql_num_samples - n_rand)
     if rand_actions is None:
-        rand_actions = agent.rng.uniform(size=(bsize, n_rand, n))
+        # drawn in float64 so the random stream does not depend on the
+        # critics' dtype, then cast once instead of inside every pool pass
+        rand_actions = agent.rng.uniform(size=(bsize, n_rand, n)).astype(
+            agent.q1.flat.dtype, copy=False)
     else:
         n_rand = rand_actions.shape[1]
     if pol_noise is None:
@@ -529,6 +532,22 @@ def agent_from_json(text: str) -> SacAgent:
     agent.opt_q2 = Adam.from_state(doc["optimizers"]["q2"], agent.q2.shapes)
     agent.opt_alpha = Adam.from_state(doc["optimizers"]["alpha"], [agent.log_alpha.shape])
     return agent
+
+
+def clone_agent(agent: SacAgent) -> SacAgent:
+    """In-memory copy of the nets, the Adam states and log_alpha.
+
+    Equal to agent_from_json(agent_to_json(agent)): the copy is a fresh
+    SacAgent, so its rng starts where a loaded checkpoint's does.
+    """
+    clone = SacAgent(agent.obs_dim, agent.n_actions, agent.tc)
+    clone.actor.trunk = agent.actor.trunk.copy()
+    for name in ("q1", "q2", "q1_target", "q2_target"):
+        setattr(clone, name, getattr(agent, name).copy())
+    clone.log_alpha = agent.log_alpha.copy()
+    for name in ("opt_actor", "opt_q1", "opt_q2", "opt_alpha"):
+        setattr(clone, name, copy.deepcopy(getattr(agent, name)))
+    return clone
 
 
 def save_agent(agent: SacAgent, path) -> None:

@@ -44,7 +44,7 @@ def train_agent(env: CyclingEnv, tc: sac.TrainConfig, max_episodes: int = 200,
 
     curve: list[CurvePoint] = []
     best_test = -np.inf
-    best_snapshot = None
+    best_agent = None
     tests_since_gain = 0
     for episode in range(1, max_episodes + 1):
         train_return, tuples = run_episode(lambda obs: agent.act(obs), env)
@@ -73,14 +73,14 @@ def train_agent(env: CyclingEnv, tc: sac.TrainConfig, max_episodes: int = 200,
             if test_return > best_test:
                 best_test = test_return
                 if keep_best:
-                    best_snapshot = sac.agent_to_json(agent)
+                    best_agent = sac.clone_agent(agent)
         curve.append(point)
         if progress is not None:
             progress(point)
         if plateau_stop and do_test and tests_since_gain >= PLATEAU_PATIENCE:
             break
-    if keep_best and best_snapshot is not None:
-        agent = sac.agent_from_json(best_snapshot)
+    if best_agent is not None:
+        agent = best_agent
     return agent, curve
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fescycle import biomech as bm
+from fescycle import offline
 from fescycle.errors import NonPositiveParameter, Unreachable
 
 
@@ -313,6 +314,104 @@ class TestMuscleTorques:
                 tau_hip, tau_knee = bm.muscle_joint_torques(mp, 1.0, joints, (0.0, 0.0))
                 assert abs(tau_hip) <= mp.t_max
                 assert abs(tau_knee) <= mp.t_max
+
+
+def reference_torque(config, muscles, theta, omega, acts):
+    """Virtual-work crank torque from muscle_joint_torques and the analytic
+    joint Jacobians, summed leg by leg and muscle by muscle."""
+    n = len(muscles)
+    total = 0.0
+    for li, side in enumerate((bm.RIGHT, bm.LEFT)):
+        joints = bm.solve_leg_ik(config, theta, side)
+        dhip, dknee = bm.joint_jacobian(config, theta, side)
+        for mi, mp in enumerate(muscles):
+            a = acts[li * n + mi]
+            if a <= 0.0:
+                continue
+            th, tk = bm.muscle_joint_torques(mp, a, joints, (dhip * omega, dknee * omega))
+            total += th * dhip + tk * dknee
+    return total
+
+
+def reference_step(config, muscles, state, controls, dt_control=0.05):
+    """sim_step written with the reference helpers, one call per term, in
+    the plant's operation order; returns (crank_angle, cadence, activations)."""
+    n = len(muscles)
+    u = [min(1.0, max(0.0, float(c))) for c in controls]
+    theta, omega, acts = state.crank_angle, state.cadence, list(state.activations)
+    coulomb = config.resistance_coulomb
+    n_sub = max(1, round(dt_control / bm.INNER_DT))
+    dt = dt_control / n_sub
+    visc_div = 1.0 + dt * config.resistance_viscous / config.crank_inertia
+    for _ in range(n_sub):
+        torque = reference_torque(config, muscles, theta, omega, acts)
+        acts = [bm.activation_step(a, ui, dt, muscles[i % n].activation_tau)
+                for i, (a, ui) in enumerate(zip(acts, u))]
+        if abs(omega) < bm.STICTION_CADENCE and abs(torque) <= coulomb:
+            omega = 0.0
+        else:
+            if omega > 0.0:
+                fric = coulomb
+            elif omega < 0.0:
+                fric = -coulomb
+            else:
+                fric = math.copysign(coulomb, torque)
+            new_omega = (omega + dt * (torque - fric) / config.crank_inertia) / visc_div
+            if omega != 0.0 and new_omega * omega < 0.0 and abs(torque) <= coulomb:
+                new_omega = 0.0
+            omega = new_omega
+        theta = (theta + dt * omega) % bm.TWO_PI
+    return theta, omega, tuple(acts)
+
+
+def plant(n_muscles, gap):
+    config = bm.validate_config(bm.nominal_config(n_muscles))
+    muscles = bm.default_muscle_set(config)
+    if gap:
+        return offline.apply_reality_gap(config, muscles, offline.RealityGapConfig(seed=123))
+    return config, muscles
+
+
+class TestFastPlantMatchesReference:
+    @pytest.mark.parametrize("n_muscles", [2, 3])
+    @pytest.mark.parametrize("gap", [False, True])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_sim_step_bit_equal(self, n_muscles, gap, binary):
+        config, muscles = plant(n_muscles, gap)
+        rng = np.random.default_rng([n_muscles, gap, binary])
+        state = bm.initial_state(config, float(rng.uniform(0.0, bm.TWO_PI)))
+        ref = (state.crank_angle, state.cadence, state.activations)
+        moved = False
+        for k in range(300):
+            if k < 20:
+                u = np.zeros(2 * n_muscles)  # at rest, both legs idle
+            elif binary:
+                u = (rng.uniform(size=2 * n_muscles) < 0.4).astype(float)
+            else:
+                u = rng.uniform(-0.2, 1.2, 2 * n_muscles)
+            ref = reference_step(config, muscles, bm.SimState(*ref), u)
+            state = bm.sim_step(config, muscles, state, u)
+            assert (state.crank_angle, state.cadence, state.activations) == ref
+            moved |= state.cadence != 0.0
+        assert moved
+
+    @pytest.mark.parametrize("n_muscles", [2, 3])
+    @pytest.mark.parametrize("gap", [False, True])
+    def test_crank_torque_bit_equal(self, n_muscles, gap):
+        config, muscles = plant(n_muscles, gap)
+        rng = np.random.default_rng(n_muscles)
+        for _ in range(300):
+            theta = rng.uniform(0.0, bm.TWO_PI)
+            omega = rng.uniform(-8.0, 8.0)
+            acts = tuple(rng.uniform(-0.3, 1.0, 2 * n_muscles))
+            got = bm.crank_torque(config, muscles, bm.SimState(theta, omega, acts))
+            assert got == reference_torque(config, muscles, theta, omega, acts)
+
+    @pytest.mark.parametrize("dt_control", [0.0, -0.05, math.nan])
+    def test_bad_dt_control(self, nominal_2m, dt_control):
+        muscles = bm.default_muscle_set(nominal_2m)
+        with pytest.raises(NonPositiveParameter):
+            bm.sim_step(nominal_2m, muscles, bm.initial_state(nominal_2m), [1.0] * 4, dt_control)
 
 
 class TestCrankTorque:

@@ -168,7 +168,7 @@ class TestCollectFinetuneEvaluate:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NonFiniteState"
-        assert "gradient step 1 of 5: critic" in err["message"]
+        assert "session00.csv: row 1, column cadence_rad_s: nan" in err["message"]
         assert not out_path.exists()
 
     def test_finetune_insufficient_data(self, tmp_path, config_path, pattern_path, capsys):

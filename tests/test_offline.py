@@ -7,7 +7,7 @@ import pytest
 from fescycle import biomech as bm
 from fescycle import offline, sac
 from fescycle.env import reward
-from fescycle.errors import InconsistentConfig, InsufficientData
+from fescycle.errors import InconsistentConfig, InsufficientData, NonFiniteState, ShapeMismatch
 from fescycle.pattern import StimulationPattern, empty_pattern
 
 TWO_MUSCLES = (bm.QUADRICEPS, bm.HAMSTRINGS)
@@ -108,6 +108,25 @@ class TestCollectSessions:
         np.testing.assert_array_equal(again.controls, log.controls)
         # 9-significant-digit CSV round trip
         np.testing.assert_allclose(again.cadences, log.cadences, rtol=1e-8)
+
+    def test_non_finite_log_value_rejected_at_load(self, ten_sessions, tmp_path):
+        path = tmp_path / "session00.csv"
+        offline.save_session_log(ten_sessions[0], path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "inf"  # data row 3, column u1
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NonFiniteState, match=r"session00\.csv: row 3, column u1: inf"):
+            offline.load_session_log(path)
+
+    def test_sidecar_row_count_must_match(self, ten_sessions, tmp_path):
+        path = tmp_path / "session00.csv"
+        offline.save_session_log(ten_sessions[0], path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")  # drop the last row
+        with pytest.raises(ShapeMismatch, match=r"sidecar lists 201 rows, the CSV has 200"):
+            offline.load_session_log(path)
 
 
 class TestLogsToDataset:

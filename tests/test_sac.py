@@ -531,6 +531,19 @@ class TestCheckpoint:
             np.testing.assert_array_equal(p1, p2)
         assert loaded.opt_q1.t == agent.opt_q1.t
 
+    def test_clone_equals_json_round_trip(self):
+        agent, tc = make_agent()
+        buf = TestSacUpdate()._filled_buffer(np.random.default_rng(0))
+        sac.sac_update(agent, buf, tc, n_steps=3)
+        text = sac.agent_to_json(agent)
+        clone = sac.clone_agent(agent)
+        loaded = sac.agent_from_json(text)
+        assert sac.agent_to_json(clone) == text
+        assert clone.rng.bit_generator.state == loaded.rng.bit_generator.state
+        # the clone shares no array with the agent
+        sac.sac_update(agent, buf, tc, n_steps=1)
+        assert sac.agent_to_json(clone) == text
+
     def test_rejects_non_checkpoint(self):
         with pytest.raises(ValueError):
             sac.agent_from_json(json.dumps({"format": "something-else"}))
