@@ -458,7 +458,7 @@ def sim_step(
     n = len(muscles)
     if len(controls) != 2 * n:
         raise ValueError(f"expected {2 * n} controls, got {len(controls)}")
-    if not dt_control > 0:
+    if not (dt_control > 0) or not math.isfinite(dt_control):
         raise NonPositiveParameter("dt_control", dt_control)
     u = [min(1.0, max(0.0, float(c))) for c in controls]
 

@@ -7,6 +7,10 @@ correctness is pinned by finite-difference tests instead.
 Each net keeps its parameters in one contiguous vector, and parameter
 gradients come back as a vector of the same layout, so the optimizer and
 target tracking are a few elementwise operations per net.
+
+A net may also compute into buffers it reuses across calls (reuse_buffers),
+so a hot training loop does not allocate, and page-fault in, its large
+per-call temporaries again on every step.
 """
 
 from __future__ import annotations
@@ -30,6 +34,17 @@ def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
+def _buffer(store: dict | None, key, shape, dtype, fill=None) -> np.ndarray:
+    """store[key], made with `shape` on first use; a fresh array when store is
+    None.  The key must determine the shape."""
+    buf = None if store is None else store.get(key)
+    if buf is None:
+        buf = np.empty(shape, dtype) if fill is None else np.full(shape, fill, dtype)
+        if store is not None:
+            store[key] = buf
+    return buf
+
+
 class Mlp:
     """Feedforward net over one parameter vector `flat`.
 
@@ -37,6 +52,10 @@ class Mlp:
     so writing into either one changes both.  A net computes in the dtype of
     its vector: float64, or whatever copy(dtype) gave it.
     """
+
+    # set by reuse_buffers; None means every call allocates its temporaries
+    _acts = None
+    scratch = None
 
     def __init__(self, layer_sizes, rng: np.random.Generator | None = None):
         self.layer_sizes = list(int(n) for n in layer_sizes)
@@ -53,6 +72,19 @@ class Mlp:
             bound = 1.0 / np.sqrt(fan_in)
             for p in self.params[2 * i : 2 * i + 2]:
                 p[...] = rng.uniform(-bound, bound, size=p.shape)
+
+    def reuse_buffers(self, scratch: dict) -> None:
+        """Compute into buffers kept across calls instead of fresh arrays.
+
+        Hidden activations go to buffers this net keeps per (layer, rows), so
+        a forward cache stays valid only until the next forward of this net
+        at the same row count.  backward's deltas, ReLU masks and ones vector
+        go to `scratch`, which nets of one dtype may share as long as their
+        backward calls never nest.  Outputs and the parameter and input
+        gradients are always fresh arrays, so callers may keep them.
+        """
+        self._acts = {}
+        self.scratch = scratch
 
     @property
     def n_layers(self) -> int:
@@ -74,16 +106,18 @@ class Mlp:
         # hidden activations are computed in place (ReLU over the
         # pre-activation buffer); a unit is active where its activation is
         # positive, so backward derives the ReLU masks from the cache
+        rows = x.shape[0]
         h = x
         hiddens = [x]
         for i in range(self.n_layers - 1):
-            z = h @ self.params[2 * i]
+            w = self.params[2 * i]
+            z = np.matmul(h, w, out=_buffer(self._acts, (i, rows), (rows, w.shape[1]), w.dtype))
             z += self.params[2 * i + 1]
             np.maximum(z, 0.0, out=z)
             h = z
             hiddens.append(h)
         out = h @ self.params[-2]
-        out = out + self.params[-1]
+        out += self.params[-1]
         if squeeze:
             return out[0], (hiddens, True)
         return out, (hiddens, False)
@@ -99,18 +133,23 @@ class Mlp:
         delta = np.asarray(grad_out, dtype=self.flat.dtype)
         if squeezed:
             delta = delta[None, :]
+        rows = delta.shape[0]
+        scratch = self.scratch
         grad = np.empty_like(self.flat) if param_grad else None
         grads = split(grad, self.shapes) if param_grad else None
         # bias gradients as ones @ delta: a GEMV, several times faster here
         # than delta.sum(axis=0)
-        ones = np.ones(delta.shape[0], dtype=delta.dtype)
+        ones = _buffer(scratch, ("ones", rows), rows, delta.dtype, fill=1.0)
         for i in range(self.n_layers - 1, -1, -1):
             if param_grad:
                 np.matmul(hiddens[i].T, delta, out=grads[2 * i])
                 np.matmul(ones, delta, out=grads[2 * i + 1])
             if i > 0:
-                delta = _back_through(delta, self.params[2 * i])
-                delta *= hiddens[i] > 0.0
+                shape = (rows, self.layer_sizes[i])
+                delta = _back_through(delta, self.params[2 * i],
+                                      _buffer(scratch, ("delta", i, shape), shape, delta.dtype))
+                delta *= np.greater(hiddens[i], 0.0,
+                                    out=_buffer(scratch, ("mask", shape), shape, bool))
         if not input_grad:
             return grad, None
         grad_input = _back_through(delta, self.params[0])
@@ -127,12 +166,13 @@ class Mlp:
         return clone
 
 
-def _back_through(delta: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """delta @ w.T; a width-1 layer is an outer product, where a broadcast
-    multiply gives the same values for less than the GEMM costs."""
+def _back_through(delta: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
+    """delta @ w.T, into `out` if given; a width-1 layer is an outer product,
+    where a broadcast multiply gives the same values for less than the GEMM
+    costs."""
     if w.shape[1] == 1:
-        return delta * w[:, 0]
-    return delta @ w.T
+        return np.multiply(delta, w[:, 0], out=out)
+    return np.matmul(delta, w.T, out=out)
 
 
 class Adam:

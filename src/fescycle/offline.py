@@ -225,6 +225,15 @@ def logs_to_dataset(logs, beta: float = 1.0, discard_first_s: float = 0.0) -> Of
     fingerprints = {log.config_hash for log in logs}
     if len(fingerprints) != 1:
         raise InconsistentConfig(f"logs from different simulators: {sorted(fingerprints)}")
+    first = logs[0]
+    for log in logs[1:]:
+        if log.dt != first.dt:
+            raise InconsistentConfig(f"session {log.pattern_id}: dt {log.dt} s differs from "
+                                     f"{first.dt} s in session {first.pattern_id}")
+        if log.controls.shape[1] != first.controls.shape[1]:
+            raise ShapeMismatch(f"session {log.pattern_id}: {log.controls.shape[1]} control "
+                                f"columns, session {first.pattern_id} has "
+                                f"{first.controls.shape[1]}")
 
     obs_rows, act_rows, rew_rows, next_rows = [], [], [], []
     n = logs[0].controls.shape[1] // 2
@@ -316,6 +325,9 @@ def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
     }
 
 
+SIDECAR_KEYS = ("pattern_id", "config_hash", "dt", "rows")
+
+
 def save_session_log(log: SessionLog, csv_path) -> None:
     n2 = log.controls.shape[1]
     with open(csv_path, "w", newline="") as fh:
@@ -344,11 +356,16 @@ def save_session_log(log: SessionLog, csv_path) -> None:
 def load_session_log(csv_path) -> SessionLog:
     """Read a log written by save_session_log.
 
-    Raises ShapeMismatch when the CSV's row count differs from the sidecar's
-    and NonFiniteState, naming the row and column, on any non-finite value.
+    Raises ValueError, naming the sidecar and the key, when the sidecar lacks
+    one of SIDECAR_KEYS; ShapeMismatch when the CSV's row count differs from
+    the sidecar's; and NonFiniteState, naming the row and column, on any
+    non-finite value.
     """
     with open(str(csv_path) + ".json") as fh:
         sidecar = json.load(fh)
+    missing = [key for key in SIDECAR_KEYS if key not in sidecar]
+    if missing:
+        raise ValueError(f"{csv_path}.json: sidecar lacks key {', '.join(map(repr, missing))}")
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

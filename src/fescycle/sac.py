@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, NonFiniteState
+from .errors import InsufficientData, NonFiniteState, ShapeMismatch
 from .nets import Adam, Mlp
 
 HIDDEN = (64, 64)
@@ -85,6 +85,13 @@ class SquashedGaussianActor:
     def sample_cached(self, obs: np.ndarray, noise: np.ndarray):
         """Reparameterised sample with everything the backward pass needs."""
         out, trunk_cache = self.trunk.forward_cached(obs)
+        action, log_prob, cache = self.squash(out, noise)
+        cache["trunk"] = trunk_cache
+        return action, log_prob, cache
+
+    def squash(self, out: np.ndarray, noise: np.ndarray):
+        """Sample, log-density and backward cache (without the trunk's) from
+        trunk outputs `out`, the per-dimension means then raw log-stds."""
         noise = np.asarray(noise, dtype=out.dtype)
         n = self.n_actions
         mu = out[..., :n]
@@ -99,7 +106,6 @@ class SquashedGaussianActor:
             axis=-1,
         )
         cache = {
-            "trunk": trunk_cache,
             "raw": raw,
             "std": std,
             "noise": noise,
@@ -368,8 +374,10 @@ def cql_regularizer(agent: SacAgent, batch: dict, tc: TrainConfig,
     else:
         n_pol = pol_noise.shape[0] // bsize
 
-    obs_rep = np.repeat(obs, n_pol, axis=0)
-    a_pol, logp_pol, _ = agent.actor.sample_cached(obs_rep, pol_noise)
+    # the n_pol draws for one state share its trunk output, so the trunk
+    # runs once per state and its output rows are repeated
+    out = agent.actor.trunk.forward(obs)
+    a_pol, logp_pol, _ = agent.actor.squash(np.repeat(out, n_pol, axis=0), pol_noise)
     pool = np.concatenate([rand_actions, a_pol.reshape(bsize, n_pol, n)], axis=1)
     log_dens = np.concatenate(
         [np.zeros((bsize, n_rand)), logp_pol.reshape(bsize, n_pol)], axis=1
@@ -404,6 +412,10 @@ def _require_finite(term: str, loss: float, *grads: np.ndarray) -> None:
         raise NonFiniteState(f"{term} loss or gradient is not finite")
 
 
+def _nets(agent: SacAgent) -> tuple[Mlp, ...]:
+    return (agent.actor.trunk, agent.q1, agent.q2, agent.q1_target, agent.q2_target)
+
+
 def working_copy(agent: SacAgent, dtype) -> SacAgent:
     """Shallow copy of `agent` whose five nets compute in `dtype`.
 
@@ -427,9 +439,11 @@ def sac_update(agent: SacAgent, data, tc: TrainConfig, n_steps: int | None = Non
 
     Losses and gradients are computed on WORK_DTYPE working copies of the
     nets; Adam and Polyak update the float64 masters, and each working copy
-    is refreshed from its master right after the master changes.  A
-    non-finite loss or gradient raises NonFiniteState before it reaches the
-    parameters.
+    is refreshed from its master right after the master changes.  The
+    working copies reuse their buffers from step to step (Mlp.reuse_buffers;
+    _gradient_step's call order keeps every forward cache valid until its
+    backward), which gives the same values as fresh arrays.  A non-finite
+    loss or gradient raises NonFiniteState before it reaches the parameters.
     """
     if len(data) < tc.batch:
         raise InsufficientData(
@@ -437,6 +451,9 @@ def sac_update(agent: SacAgent, data, tc: TrainConfig, n_steps: int | None = Non
         )
     steps = tc.grad_steps_per_episode if n_steps is None else n_steps
     work = working_copy(agent, WORK_DTYPE)
+    scratch = {}
+    for net in _nets(work):
+        net.reuse_buffers(scratch)
     for step in range(1, steps + 1):
         try:
             _gradient_step(agent, work, data.sample(tc.batch, agent.rng), tc)
@@ -481,13 +498,23 @@ def _net_to_doc(net: Mlp) -> dict:
     }
 
 
-def _net_from_doc(doc: dict) -> Mlp:
-    net = Mlp(doc["layer_sizes"])
+def _net_from_doc(doc: dict, name: str, n_in: int, n_out: int) -> Mlp:
+    """The checkpoint's net `name`; ShapeMismatch unless it maps n_in inputs
+    to n_out outputs and every parameter array has its layer's size."""
+    sizes = doc["layer_sizes"]
+    if len(sizes) < 2 or sizes[0] != n_in or sizes[-1] != n_out:
+        raise ShapeMismatch(f"net {name}: layer sizes {sizes} do not map "
+                            f"{n_in} inputs to {n_out} outputs")
+    net = Mlp(sizes)
     if len(doc["params"]) != len(net.params):
-        raise ValueError(f"net has {len(doc['params'])} parameter arrays, "
-                         f"expected {len(net.params)}")
-    for view, values in zip(net.params, doc["params"]):
-        view[...] = np.array(values, dtype=float).reshape(view.shape)
+        raise ShapeMismatch(f"net {name}: {len(doc['params'])} parameter arrays, "
+                            f"expected {len(net.params)}")
+    for k, (view, values) in enumerate(zip(net.params, doc["params"])):
+        values = np.array(values, dtype=float)
+        if values.size != view.size:
+            raise ShapeMismatch(f"net {name}: parameter array {k} has {values.size} "
+                                f"values, expected {view.size}")
+        view[...] = values.reshape(view.shape)
     return net
 
 
@@ -520,12 +547,12 @@ def agent_from_json(text: str) -> SacAgent:
     if doc.get("format") != "fescycle-agent-v1":
         raise ValueError(f"not an agent checkpoint: format={doc.get('format')!r}")
     tc = train_config_from_dict(doc["train_config"])
-    agent = SacAgent(doc["obs_dim"], doc["n_actions"], tc)
-    agent.actor.trunk = _net_from_doc(doc["nets"]["actor"])
-    agent.q1 = _net_from_doc(doc["nets"]["q1"])
-    agent.q2 = _net_from_doc(doc["nets"]["q2"])
-    agent.q1_target = _net_from_doc(doc["nets"]["q1_target"])
-    agent.q2_target = _net_from_doc(doc["nets"]["q2_target"])
+    obs_dim, n_actions = doc["obs_dim"], doc["n_actions"]
+    agent = SacAgent(obs_dim, n_actions, tc)
+    nets = doc["nets"]
+    agent.actor.trunk = _net_from_doc(nets["actor"], "actor", obs_dim, 2 * n_actions)
+    for name in ("q1", "q2", "q1_target", "q2_target"):
+        setattr(agent, name, _net_from_doc(nets[name], name, obs_dim + n_actions, 1))
     agent.log_alpha = np.array([doc["log_alpha"]])
     agent.opt_actor = Adam.from_state(doc["optimizers"]["actor"], agent.actor.trunk.shapes)
     agent.opt_q1 = Adam.from_state(doc["optimizers"]["q1"], agent.q1.shapes)

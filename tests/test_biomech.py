@@ -407,7 +407,7 @@ class TestFastPlantMatchesReference:
             got = bm.crank_torque(config, muscles, bm.SimState(theta, omega, acts))
             assert got == reference_torque(config, muscles, theta, omega, acts)
 
-    @pytest.mark.parametrize("dt_control", [0.0, -0.05, math.nan])
+    @pytest.mark.parametrize("dt_control", [0.0, -0.05, math.nan, math.inf])
     def test_bad_dt_control(self, nominal_2m, dt_control):
         muscles = bm.default_muscle_set(nominal_2m)
         with pytest.raises(NonPositiveParameter):

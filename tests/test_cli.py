@@ -92,6 +92,30 @@ class TestExtract:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(obs_dim=6),
+         "net actor: layer sizes [5, 64, 64, 4] do not map 6 inputs to 4 outputs"),
+        (lambda doc: doc.update(n_actions=3),
+         "net actor: layer sizes [5, 64, 64, 4] do not map 5 inputs to 6 outputs"),
+        (lambda doc: doc["nets"]["q1"]["params"][0].pop(),
+         "net q1: parameter array 0 has 384 values, expected 448"),
+        (lambda doc: doc["nets"]["q2_target"]["params"].pop(),
+         "net q2_target: 5 parameter arrays, expected 6"),
+    ])
+    def test_checkpoint_shape_mismatch_is_domain_error(self, tmp_path, config_path, capsys,
+                                                       edit, message):
+        doc = json.loads(sac.agent_to_json(constant_agent()))
+        edit(doc)
+        agent_path = tmp_path / "agent.json"
+        agent_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.json"
+        rc = cli.main(["extract", str(agent_path), str(config_path), "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ShapeMismatch"
+        assert err["message"] == message
+        assert not out.exists()
+
 
 class TestCollectFinetuneEvaluate:
     def test_collect_writes_sessions(self, tmp_path, config_path, pattern_path, capsys):
@@ -169,6 +193,31 @@ class TestCollectFinetuneEvaluate:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NonFiniteState"
         assert "session00.csv: row 1, column cadence_rad_s: nan" in err["message"]
+        assert not out_path.exists()
+
+    def test_finetune_sidecar_without_rows_is_bad_input(self, tmp_path, config_path,
+                                                        pattern_path, capsys):
+        out_dir = tmp_path / "logs"
+        cli.main([
+            "collect", str(config_path), str(pattern_path),
+            "--out", str(out_dir), "--sessions", "1", "--duration", "2",
+            "--seed", "5",
+        ])
+        sidecar = out_dir / "session00.csv.json"
+        doc = json.loads(sidecar.read_text())
+        del doc["rows"]
+        sidecar.write_text(json.dumps(doc))
+        agent_path = tmp_path / "agent.json"
+        sac.save_agent(constant_agent(), agent_path)
+        out_path = tmp_path / "ft.json"
+        rc = cli.main([
+            "finetune", str(agent_path), str(out_dir),
+            "--out", str(out_path), "--epochs", "1",
+        ])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "bad_input"
+        assert "session00.csv.json: sidecar lacks key 'rows'" in err["message"]
         assert not out_path.exists()
 
     def test_finetune_insufficient_data(self, tmp_path, config_path, pattern_path, capsys):

@@ -172,6 +172,67 @@ class TestLeanBackward:
         np.testing.assert_allclose(b2, g_out.sum(axis=0), rtol=1e-12)
 
 
+class TestReusedBuffers:
+    def _pair(self, sizes, seed):
+        """A float32 net that reuses buffers and an allocating twin."""
+        fresh = Mlp(sizes, np.random.default_rng(seed)).copy(np.float32)
+        reusing = fresh.copy()
+        reusing.reuse_buffers({})
+        return fresh, reusing
+
+    @pytest.mark.parametrize("sizes", [[5, 64, 64, 4], [9, 64, 64, 1]])
+    def test_same_values_as_fresh_arrays(self, sizes):
+        fresh, reusing = self._pair(sizes, 20)
+        rng = np.random.default_rng(21)
+        for rows in (7, 256, 7, 2560, 256):
+            x = rng.standard_normal((rows, sizes[0])).astype(np.float32)
+            g_out = rng.standard_normal((rows, sizes[-1])).astype(np.float32)
+            y_ref, c_ref = fresh.forward_cached(x)
+            y, cache = reusing.forward_cached(x)
+            np.testing.assert_array_equal(y, y_ref)
+            for got, want in zip(reusing.backward(cache, g_out), fresh.backward(c_ref, g_out)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_buffers_are_reused_per_row_count(self):
+        _, net = self._pair([4, 8, 8, 2], 22)
+        rng = np.random.default_rng(23)
+        _, (h_a, _) = net.forward_cached(rng.standard_normal((6, 4)))
+        _, (h_b, _) = net.forward_cached(rng.standard_normal((6, 4)))
+        _, (h_c, _) = net.forward_cached(rng.standard_normal((3, 4)))
+        assert all(a is b for a, b in zip(h_a[1:], h_b[1:]))
+        assert not any(np.shares_memory(a, c) for a, c in zip(h_a[1:], h_c[1:]))
+
+    def test_cache_survives_forwards_at_other_row_counts(self):
+        fresh, reusing = self._pair([4, 8, 8, 2], 24)
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((6, 4)).astype(np.float32)
+        g_out = rng.standard_normal((6, 2)).astype(np.float32)
+        _, cache = reusing.forward_cached(x)
+        reusing.forward_cached(rng.standard_normal((12, 4)))
+        _, c_ref = fresh.forward_cached(x)
+        for got, want in zip(reusing.backward(cache, g_out), fresh.backward(c_ref, g_out)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_outputs_and_gradients_stay_with_the_caller(self):
+        _, net = self._pair([4, 8, 8, 2], 26)
+        net2 = net.copy()
+        net2.reuse_buffers(net.scratch)
+        rng = np.random.default_rng(27)
+        y, cache = net.forward_cached(rng.standard_normal((6, 4)))
+        grad, grad_in = net.backward(cache, np.ones((6, 2)))
+        kept = [a.copy() for a in (y, grad, grad_in)]
+        for other in (net, net2):
+            _, c = other.forward_cached(rng.standard_normal((6, 4)))
+            other.backward(c, rng.standard_normal((6, 2)))
+        for a, b in zip((y, grad, grad_in), kept):
+            np.testing.assert_array_equal(a, b)
+
+    def test_copies_allocate(self):
+        _, net = self._pair([4, 8, 2], 28)
+        clone = net.copy()
+        assert clone.scratch is None and clone._acts is None
+
+
 def reference_adam_step(opt, arrays, grads, moments_m, moments_v, t):
     """The per-array Adam update the flat step replaced."""
     b1c = 1.0 - opt.beta1**t

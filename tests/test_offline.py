@@ -1,4 +1,6 @@
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -128,6 +130,17 @@ class TestCollectSessions:
         with pytest.raises(ShapeMismatch, match=r"sidecar lists 201 rows, the CSV has 200"):
             offline.load_session_log(path)
 
+    @pytest.mark.parametrize("key", offline.SIDECAR_KEYS)
+    def test_sidecar_missing_key_is_named(self, ten_sessions, tmp_path, key):
+        path = tmp_path / "session00.csv"
+        offline.save_session_log(ten_sessions[0], path)
+        sidecar = tmp_path / "session00.csv.json"
+        doc = json.loads(sidecar.read_text())
+        del doc[key]
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"session00\.csv\.json: sidecar lacks key '{key}'"):
+            offline.load_session_log(path)
+
 
 class TestLogsToDataset:
     def test_counting_convention(self, ten_sessions):
@@ -172,6 +185,17 @@ class TestLogsToDataset:
         )
         with pytest.raises(InconsistentConfig):
             offline.logs_to_dataset([ten_sessions[0], other[0]])
+
+    def test_mixed_dt_rejected(self, ten_sessions):
+        other = replace(ten_sessions[1], dt=0.02)
+        with pytest.raises(InconsistentConfig, match=rf"session {re.escape(other.pattern_id)}: dt"):
+            offline.logs_to_dataset([ten_sessions[0], other])
+
+    def test_mixed_control_width_rejected(self, ten_sessions):
+        log = ten_sessions[2]
+        wider = replace(log, controls=np.hstack([log.controls, log.controls[:, :2]]))
+        with pytest.raises(ShapeMismatch, match=rf"session {re.escape(log.pattern_id)}: 6 control"):
+            offline.logs_to_dataset([ten_sessions[0], wider])
 
     def test_empty_input_rejected(self):
         with pytest.raises(InsufficientData):

@@ -472,6 +472,52 @@ class TestWorkingCopies:
         assert sac.agent_to_json(again) == text
 
 
+def reference_update(agent, data, tc, n_steps):
+    """sac_update with a fresh, buffer-free working copy for every step."""
+    for _ in range(n_steps):
+        batch = data.sample(tc.batch, agent.rng)
+        sac._gradient_step(agent, sac.working_copy(agent, sac.WORK_DTYPE), batch, tc)
+
+
+class TestReusedWorkingBuffers:
+    @pytest.mark.parametrize("n_muscles", [2, 3])
+    @pytest.mark.parametrize("cql_weight", [0.0, 5.0])
+    def test_update_bit_equal_to_fresh_working_copies(self, n_muscles, cql_weight):
+        obs_dim = 3 + n_muscles
+        rng = np.random.default_rng(n_muscles)
+        buf = TestSacUpdate()._filled_buffer(rng, obs_dim, n_muscles)
+        agents = []
+        for update in (sac.sac_update, reference_update):
+            agent, tc = make_agent(obs_dim, n_muscles, cql_weight=cql_weight)
+            update(agent, buf, tc, 30)
+            agents.append(agent)
+        got, want = agents
+        for net_got, net_want in zip(sac._nets(got), sac._nets(want)):
+            np.testing.assert_array_equal(net_got.flat, net_want.flat)
+        for name in ("opt_actor", "opt_q1", "opt_q2", "opt_alpha"):
+            opt_got, opt_want = getattr(got, name), getattr(want, name)
+            assert opt_got.t == opt_want.t == 30
+            np.testing.assert_array_equal(opt_got.m, opt_want.m)
+            np.testing.assert_array_equal(opt_got.v, opt_want.v)
+        np.testing.assert_array_equal(got.log_alpha, want.log_alpha)
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+    def test_policy_pool_trunk_runs_on_unique_rows(self):
+        agent, _ = make_agent()
+        work = sac.working_copy(agent, sac.WORK_DTYPE)
+        work.actor.trunk.reuse_buffers({})
+        obs = np.random.default_rng(30).standard_normal((256, 5)).astype(sac.WORK_DTYPE)
+        unique = np.repeat(work.actor.trunk.forward(obs), 5, axis=0)
+        repeated = work.actor.trunk.forward(np.repeat(obs, 5, axis=0))
+        np.testing.assert_array_equal(unique, repeated)
+
+    def test_masters_keep_allocating(self):
+        agent, tc = make_agent(cql_weight=1.0, cql_num_samples=4, batch=64)
+        buf = TestSacUpdate()._filled_buffer(np.random.default_rng(31), n=100)
+        sac.sac_update(agent, buf, tc, n_steps=2)
+        assert all(net.scratch is None and net._acts is None for net in sac._nets(agent))
+
+
 class TestNonFiniteGuard:
     def _data(self, rng, n=300, bad_reward=None):
         buf = TestSacUpdate()._filled_buffer(rng, n=n)
