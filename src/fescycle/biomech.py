@@ -434,8 +434,9 @@ _STEP_COUNT = 0
 
 
 def sim_step_count() -> int:
-    """Process-wide number of sim_step calls; lets offline training prove
-    it never touched the simulator."""
+    """Number of sim_step calls made in this process; lets offline training
+    prove it never touched the simulator.  Drives that collect_sessions and
+    evaluate_pattern run in worker processes count in the worker, not here."""
     return _STEP_COUNT
 
 

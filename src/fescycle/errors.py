@@ -7,7 +7,12 @@ I/O and parse failures map to exit code 2.
 
 
 class DomainError(Exception):
-    pass
+    def __reduce__(self):
+        # pickle (a drive run in a worker process sends its error back that
+        # way) rebuilds an exception as cls(*args); the subclasses whose
+        # __init__ takes other arguments are rebuilt from args and
+        # attributes instead, without calling __init__
+        return type(self).__new__, (type(self), *self.args), self.__dict__
 
 
 class NonPositiveParameter(DomainError):

@@ -218,13 +218,20 @@ class Adam:
         }
 
     @classmethod
-    def from_state(cls, state: dict, shapes) -> "Adam":
+    def from_state(cls, state: dict, shapes, name: str) -> "Adam":
+        """The optimizer `name` of a checkpoint; ShapeMismatch unless each
+        moment lists one array of the right size per shape."""
         opt = cls(shapes, state["lr"], state["beta1"], state["beta2"], state["eps"])
         opt.t = state["t"]
-        for moment, arrays in ((opt.m, state["m"]), (opt.v, state["v"])):
+        for key, moment in (("m", opt.m), ("v", opt.v)):
+            arrays = state[key]
             if len(arrays) != len(opt.shapes):
-                raise ValueError(f"optimizer state has {len(arrays)} arrays, "
-                                 f"expected {len(opt.shapes)}")
-            for view, a in zip(split(moment, opt.shapes), arrays):
-                view[...] = np.array(a, dtype=float).reshape(view.shape)
+                raise ShapeMismatch(f"optimizer {name}: moment {key} has {len(arrays)} "
+                                    f"arrays, expected {len(opt.shapes)}")
+            for k, (view, values) in enumerate(zip(split(moment, opt.shapes), arrays)):
+                values = np.array(values, dtype=float)
+                if values.size != view.size:
+                    raise ShapeMismatch(f"optimizer {name}: moment {key} array {k} has "
+                                        f"{values.size} values, expected {view.size}")
+                view[...] = values.reshape(view.shape)
         return opt

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,8 +129,64 @@ def _describe(pert: PatternPerturbation | None) -> str:
     return f"{pert.kind}{pert.magnitude_deg:+g}:{target}"
 
 
+def _run_drives(drive, jobs) -> list:
+    """[drive(job) for job in jobs], with the jobs side by side in forked
+    worker processes when more than one CPU is usable.
+
+    One worker per usable CPU (os.sched_getaffinity; one where the platform
+    lacks it), at most one per job; with fewer than two the jobs run in this
+    process.  Results come back in job order and every worker has exited
+    when this returns, so outputs are the same bytes whichever path runs.
+    A drive's sim_step calls count in biomech.sim_step_count() of the
+    process that ran it.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(jobs), cpus)
+    if workers < 2:
+        return [drive(job) for job in jobs]
+    # imported here: they cost about 20 ms, which one-drive commands skip
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork: a worker starts in milliseconds with the modules loaded, where
+    # spawn would import numpy and fescycle again in each; the drives make
+    # no BLAS call, so a BLAS thread pool in the parent cannot leave them
+    # waiting on a lock
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(drive, jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 ASSIST_CADENCE = 3.0  # rad/s handed to the crank at session start (the push a
                       # helper or motor gives before stimulation takes over)
+
+
+def _drive_session(job):
+    """One collect session: the logged columns of an open-loop drive of
+    pattern `pat` from `start_angle`."""
+    config, muscles, pat, start_angle, start_cadence, steps, dt = job
+    state = replace(biomech.initial_state(config, start_angle), cadence=start_cadence)
+    times = np.empty(steps + 1)
+    angles = np.empty(steps + 1)
+    cadences = np.empty(steps + 1)
+    controls = np.empty((steps + 1, 2 * config.n_muscles_per_leg))
+
+    def record(i, st):
+        times[i] = st.sim_time
+        angles[i] = st.crank_angle
+        cadences[i] = st.cadence
+        controls[i] = np.concatenate([
+            pattern_control(pat, st.crank_angle, RIGHT),
+            pattern_control(pat, st.crank_angle, LEFT),
+        ])
+
+    record(0, state)
+    for i in range(1, steps + 1):
+        state = biomech.sim_step(config, muscles, state, controls[i - 1], dt)
+        record(i, state)
+    return times, angles, cadences, controls
 
 
 def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPattern,
@@ -140,7 +197,9 @@ def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPa
 
     Each session resets to a random crank angle with an assisted starting
     push and logs state and controls at the control rate; the assisted early
-    portion is what logs_to_dataset's discard window is for.
+    portion is what logs_to_dataset's discard window is for.  Sessions run
+    side by side as in _run_drives; the start angles are drawn up front, in
+    session order, so the logs do not depend on how many run at once.
     """
     if schedule is None:
         schedule = default_perturbation_schedule()
@@ -149,43 +208,26 @@ def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPa
     rng = np.random.default_rng(seed)
     steps = round(duration_s / dt)
     fingerprint = config_fingerprint(config, muscles)
-
-    logs = []
-    for k in range(n_sessions):
-        pert = schedule[k]
-        pat = base_pattern if pert is None else patterns.perturb_pattern(base_pattern, pert)
-        state = biomech.initial_state(config, float(rng.uniform(0.0, biomech.TWO_PI)))
-        state = replace(state, cadence=start_cadence)
-        times = np.empty(steps + 1)
-        angles = np.empty(steps + 1)
-        cadences = np.empty(steps + 1)
-        controls = np.empty((steps + 1, 2 * config.n_muscles_per_leg))
-
-        def record(i, st):
-            times[i] = st.sim_time
-            angles[i] = st.crank_angle
-            cadences[i] = st.cadence
-            controls[i] = np.concatenate([
-                pattern_control(pat, st.crank_angle, RIGHT),
-                pattern_control(pat, st.crank_angle, LEFT),
-            ])
-
-        record(0, state)
-        for i in range(1, steps + 1):
-            state = biomech.sim_step(config, muscles, state, controls[i - 1], dt)
-            record(i, state)
-        logs.append(
-            SessionLog(
-                pattern_id=f"session{k:02d}:{_describe(pert)}",
-                config_hash=fingerprint,
-                dt=dt,
-                times=times,
-                crank_angles=angles,
-                cadences=cadences,
-                controls=controls,
-            )
+    perts = schedule[:n_sessions]
+    jobs = [
+        (config, muscles,
+         base_pattern if pert is None else patterns.perturb_pattern(base_pattern, pert),
+         float(rng.uniform(0.0, biomech.TWO_PI)), start_cadence, steps, dt)
+        for pert in perts
+    ]
+    return [
+        SessionLog(
+            pattern_id=f"session{k:02d}:{_describe(pert)}",
+            config_hash=fingerprint,
+            dt=dt,
+            times=times,
+            crank_angles=angles,
+            cadences=cadences,
+            controls=controls,
         )
-    return logs
+        for k, (pert, (times, angles, cadences, controls))
+        in enumerate(zip(perts, _run_drives(_drive_session, jobs)))
+    ]
 
 
 class OfflineDataset:
@@ -286,6 +328,24 @@ def finetune(agent: sac.SacAgent, dataset: OfflineDataset, tc: sac.TrainConfig,
     return agent
 
 
+def _drive_trial(job):
+    """One evaluation trial: the RPM trace of an open-loop drive of pattern
+    `p` from a start angle drawn from default_rng(start_seed)."""
+    config, muscles, p, start_seed, start_cadence, steps, dt = job
+    rng = np.random.default_rng(start_seed)
+    state = biomech.initial_state(config, float(rng.uniform(0.0, biomech.TWO_PI)))
+    state = replace(state, cadence=start_cadence)
+    rpm_trace = np.empty(steps)
+    for i in range(steps):
+        controls = np.concatenate([
+            pattern_control(p, state.crank_angle, RIGHT),
+            pattern_control(p, state.crank_angle, LEFT),
+        ])
+        state = biomech.sim_step(config, muscles, state, controls, dt)
+        rpm_trace[i] = state.cadence * RPM_PER_RAD_S
+    return rpm_trace
+
+
 def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
                      duration_s: float = 30.0, n_trials: int = 5, seed: int = 0,
                      transient_s: float = 5.0, dt: float = 0.05,
@@ -293,29 +353,22 @@ def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
     """Open-loop pattern drive from random start angles.
 
     Each trial begins with the assisted starting push; the mean RPM is taken
-    after the transient window so the push itself does not count.
+    after the transient window so the push itself does not count.  Trials
+    run side by side as in _run_drives, each seeded by [seed, trial].
     """
     steps = round(duration_s / dt)
     skip = round(transient_s / dt)
-    trials = []
-    for trial in range(n_trials):
-        rng = np.random.default_rng([seed, trial])
-        state = biomech.initial_state(config, float(rng.uniform(0.0, biomech.TWO_PI)))
-        state = replace(state, cadence=start_cadence)
-        rpm_trace = np.empty(steps)
-        for i in range(steps):
-            controls = np.concatenate([
-                pattern_control(p, state.crank_angle, RIGHT),
-                pattern_control(p, state.crank_angle, LEFT),
-            ])
-            state = biomech.sim_step(config, muscles, state, controls, dt)
-            rpm_trace[i] = state.cadence * RPM_PER_RAD_S
-        trials.append({
+    jobs = [(config, muscles, p, [seed, trial], start_cadence, steps, dt)
+            for trial in range(n_trials)]
+    trials = [
+        {
             "start_seed": [seed, trial],
             "mean_rpm": float(np.mean(rpm_trace[skip:])),
             "final_rpm": float(rpm_trace[-1]),
             "rpm_trace": rpm_trace,
-        })
+        }
+        for trial, rpm_trace in enumerate(_run_drives(_drive_trial, jobs))
+    ]
     return {
         "mean_rpm": float(np.mean([t["mean_rpm"] for t in trials])),
         "trials": trials,

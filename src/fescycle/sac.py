@@ -28,9 +28,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 # parameters, optimizer moments and checkpoints stay float64
 WORK_DTYPE = np.float32
 
-STOCHASTIC = "stochastic"
-DETERMINISTIC = "deterministic"
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -136,19 +133,6 @@ class SquashedGaussianActor:
         grad_out = np.concatenate([grad_mu, grad_log_std * clip_mask], axis=-1)
         grads, _ = self.trunk.backward(cache["trunk"], grad_out, input_grad=False)
         return grads
-
-
-def policy_sample(actor: SquashedGaussianActor, obs, mode: str = STOCHASTIC,
-                  rng: np.random.Generator | None = None, noise=None):
-    """Sample (action, log_prob); deterministic mode returns (mean action, None)."""
-    obs = np.asarray(obs, dtype=float)
-    if mode == DETERMINISTIC:
-        return actor.deterministic(obs), None
-    if noise is None:
-        rng = rng or np.random.default_rng(0)
-        noise = rng.standard_normal(obs.shape[:-1] + (actor.n_actions,))
-    action, log_prob, _ = actor.sample_cached(obs, noise)
-    return action, log_prob
 
 
 class ReplayBuffer:
@@ -554,10 +538,9 @@ def agent_from_json(text: str) -> SacAgent:
     for name in ("q1", "q2", "q1_target", "q2_target"):
         setattr(agent, name, _net_from_doc(nets[name], name, obs_dim + n_actions, 1))
     agent.log_alpha = np.array([doc["log_alpha"]])
-    agent.opt_actor = Adam.from_state(doc["optimizers"]["actor"], agent.actor.trunk.shapes)
-    agent.opt_q1 = Adam.from_state(doc["optimizers"]["q1"], agent.q1.shapes)
-    agent.opt_q2 = Adam.from_state(doc["optimizers"]["q2"], agent.q2.shapes)
-    agent.opt_alpha = Adam.from_state(doc["optimizers"]["alpha"], [agent.log_alpha.shape])
+    for name, shapes in (("actor", agent.actor.trunk.shapes), ("q1", agent.q1.shapes),
+                         ("q2", agent.q2.shapes), ("alpha", [agent.log_alpha.shape])):
+        setattr(agent, f"opt_{name}", Adam.from_state(doc["optimizers"][name], shapes, name))
     return agent
 
 

@@ -1,10 +1,14 @@
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
 from fescycle import biomech as bm
 from fescycle import cli, offline, sac
+from fescycle.errors import NonPositiveParameter, Unreachable
 from fescycle.pattern import StimulationPattern, pattern_from_json, save_pattern
 
 
@@ -101,6 +105,10 @@ class TestExtract:
          "net q1: parameter array 0 has 384 values, expected 448"),
         (lambda doc: doc["nets"]["q2_target"]["params"].pop(),
          "net q2_target: 5 parameter arrays, expected 6"),
+        (lambda doc: doc["optimizers"]["q1"]["m"][0].pop(),
+         "optimizer q1: moment m array 0 has 384 values, expected 448"),
+        (lambda doc: doc["optimizers"]["actor"]["v"].pop(),
+         "optimizer actor: moment v has 5 arrays, expected 6"),
     ])
     def test_checkpoint_shape_mismatch_is_domain_error(self, tmp_path, config_path, capsys,
                                                        edit, message):
@@ -287,6 +295,38 @@ class TestCollectFinetuneEvaluate:
                 "--seed", "3",
             ])
         assert out1.read_bytes() == out2.read_bytes()
+
+
+    @pytest.mark.parametrize("error", [
+        NonPositiveParameter("dt_control", 0.0),
+        Unreachable(1.0, "d"),
+    ], ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("command", ["collect", "evaluate"])
+    def test_error_in_drive_worker_is_domain_error(self, tmp_path, config_path, pattern_path,
+                                                   capfd, monkeypatch, command, error):
+        def failing_step(*args):
+            raise error
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(bm, "sim_step", failing_step)
+        out = tmp_path / ("logs" if command == "collect" else "eval.csv")
+        rc = cli.main([command, str(config_path), str(pattern_path), "--out", str(out),
+                       "--duration", "1", "--seed", "1"])
+        assert rc == 1
+        stderr = capfd.readouterr().err
+        assert "Traceback" not in stderr
+        assert json.loads(stderr) == {"error": type(error).__name__, "message": str(error)}
+        assert multiprocessing.active_children() == []
+
+    def test_cli_import_loads_no_process_pool(self):
+        """multiprocessing and concurrent.futures load only when a pool starts."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = ("import sys, fescycle.cli; "
+                 "print([m for m in ('multiprocessing', 'concurrent.futures') "
+                 "if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestCompare:

@@ -277,7 +277,7 @@ class TestAdam:
             opt.step(params, np.ones(8))
         state = opt.to_state()
         assert [np.shape(a) for a in state["m"]] == shapes
-        clone = Adam.from_state(state, shapes)
+        clone = Adam.from_state(state, shapes, "test")
         assert clone.t == opt.t
         np.testing.assert_array_equal(clone.m, opt.m)
         np.testing.assert_array_equal(clone.v, opt.v)

@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import re
 from dataclasses import replace
 
@@ -258,3 +260,65 @@ class TestEvaluatePattern:
         assert result["dt"] == 0.05
         for trial in result["trials"]:
             assert trial["rpm_trace"].shape == (400,)
+
+
+def _use_cpus(monkeypatch, n):
+    """Make os.sched_getaffinity report n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestDrivesSideBySide:
+    """collect_sessions and evaluate_pattern give the same bytes whether their
+    drives run in this process (one usable CPU) or in forked workers (two)."""
+
+    @pytest.fixture(params=[(2, False), (3, False), (2, True), (3, True)],
+                    ids=["2m", "3m", "2m_gap", "3m_gap"])
+    def sim(self, request):
+        n_muscles, gap = request.param
+        config = bm.validate_config(bm.nominal_config(n_muscles))
+        muscles = bm.default_muscle_set(config)
+        if gap:
+            config, muscles = offline.apply_reality_gap(
+                config, muscles, offline.RealityGapConfig(seed=17))
+        names = bm.MUSCLE_NAMES[:n_muscles]
+        arcs = (((30.0, 170.0),), ((190.0, 330.0),), ((200.0, 320.0),))[:n_muscles]
+        return config, muscles, StimulationPattern(names, arcs)
+
+    @staticmethod
+    def _run(monkeypatch, n_cpus, config, muscles, pat):
+        _use_cpus(monkeypatch, n_cpus)
+        before = bm.sim_step_count()
+        logs = offline.collect_sessions(config, muscles, pat, n_sessions=3,
+                                        duration_s=2.0, seed=21)
+        assert multiprocessing.active_children() == []
+        result = offline.evaluate_pattern(config, muscles, pat, duration_s=3.0,
+                                          n_trials=3, seed=22, transient_s=1.0)
+        assert multiprocessing.active_children() == []
+        return logs, result, bm.sim_step_count() - before
+
+    def test_serial_and_pool_paths_bit_equal(self, sim, monkeypatch):
+        serial_logs, serial, serial_steps = self._run(monkeypatch, 1, *sim)
+        pool_logs, pool, pool_steps = self._run(monkeypatch, 2, *sim)
+        # the serial drives ran here, the pool's in workers
+        assert (serial_steps, pool_steps) == (3 * 40 + 3 * 60, 0)
+        assert [log.pattern_id for log in pool_logs] == [log.pattern_id for log in serial_logs]
+        for a, b in zip(serial_logs, pool_logs):
+            assert (a.config_hash, a.dt) == (b.config_hash, b.dt)
+            for name in ("times", "crank_angles", "cadences", "controls"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert serial["mean_rpm"] == pool["mean_rpm"]
+        for a, b in zip(serial["trials"], pool["trials"]):
+            assert (a["start_seed"], a["mean_rpm"], a["final_rpm"]) == (
+                b["start_seed"], b["mean_rpm"], b["final_rpm"])
+            assert a["rpm_trace"].tobytes() == b["rpm_trace"].tobytes()
+
+    def test_single_drive_starts_no_pool(self, rig, base_pattern, monkeypatch):
+        _use_cpus(monkeypatch, 2)
+        config, muscles = rig
+        before = bm.sim_step_count()
+        offline.evaluate_pattern(config, muscles, base_pattern, duration_s=2.0, n_trials=1,
+                                 transient_s=1.0)
+        offline.collect_sessions(config, muscles, base_pattern, n_sessions=1, duration_s=2.0)
+        # every step ran in this process
+        assert bm.sim_step_count() - before == 40 + 40
+        assert multiprocessing.active_children() == []

@@ -39,11 +39,10 @@ class TestPolicySample:
         agent, _ = make_agent(n_actions=3)
         pin_actor_heads(agent, 0.0, -20.0)  # raw clamps to -5, sigma ~ 6.7e-3
         rng = np.random.default_rng(0)
-        action, _ = sac.policy_sample(agent.actor, np.zeros((64, 5)), rng=rng)
+        action, _ = agent.actor.sample(np.zeros((64, 5)), rng.standard_normal((64, agent.n_actions)))
         np.testing.assert_allclose(action, 0.5, atol=0.05)
-        det, logp = sac.policy_sample(agent.actor, np.zeros(5), mode=sac.DETERMINISTIC)
+        det = agent.actor.deterministic(np.zeros(5))
         np.testing.assert_array_equal(det, 0.5)
-        assert logp is None
 
     def test_deterministic_mode_repeatable(self):
         agent, _ = make_agent()
@@ -56,7 +55,7 @@ class TestPolicySample:
         agent, _ = make_agent()
         rng = np.random.default_rng(5)
         obs = rng.standard_normal((500, 5))
-        action, _ = sac.policy_sample(agent.actor, obs, rng=rng)
+        action, _ = agent.actor.sample(obs, rng.standard_normal((500, agent.n_actions)))
         assert np.all(action > 0.0)
         assert np.all(action < 1.0)
 
@@ -79,7 +78,7 @@ class TestPolicySample:
         chunk = 100_000
         obs = np.zeros((chunk, 1))
         for i in range(0, n_total, chunk):
-            a, lp = sac.policy_sample(agent.actor, obs, rng=rng)
+            a, lp = agent.actor.sample(obs, rng.standard_normal((chunk, 1)))
             samples[i : i + chunk] = a[:, 0]
             logps[i : i + chunk] = lp
 
