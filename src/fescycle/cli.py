@@ -187,10 +187,10 @@ def cmd_finetune(args) -> int:
     started = time.time()
     seed = _resolve_seed(args.seed)
     agent = sac.load_agent(args.agent)
-    log_paths = sorted(Path(args.logs).glob("session*.csv"))
-    if not log_paths:
+    csv_paths = sorted(Path(args.logs).glob("session*.csv"))
+    if not csv_paths:
         raise InvalidArgument(f"no session CSV logs under {args.logs}")
-    logs = [offline.load_session_log(p) for p in log_paths]
+    logs = [offline.load_session_log(p) for p in csv_paths]
     dataset = offline.logs_to_dataset(logs, discard_first_s=args.discard_first_s)
     data = json.loads(_read_text(args.train)) if args.train else {}
     data.setdefault("cql_weight", 5.0)

@@ -1,15 +1,14 @@
 """RL environment around the cycling plant.
 
 Observations are [sin(crank_angle), cos(crank_angle), cadence, previous
-action]; one physical step yields two experience tuples, the right-leg one
-and a mirrored left-leg one whose observation negates sine and cosine (the
-left leg sees the crank half a turn ahead).  Reward is next-step cadence
-minus a quadratic action penalty.
+action]; one physical step yields two transitions, the right-leg one and a
+mirrored left-leg one whose observation negates sine and cosine (the left
+leg sees the crank half a turn ahead).  Reward is next-step cadence minus a
+quadratic action penalty.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -38,14 +37,6 @@ class EpisodeConfig:
             raise ValueError("beta must be >= 0")
 
 
-@dataclass(frozen=True)
-class ExperienceTuple:
-    obs: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_obs: np.ndarray
-
-
 def make_observation(state: SimState, prev_action, side: str) -> np.ndarray:
     s = math.sin(state.crank_angle)
     c = math.cos(state.crank_angle)
@@ -59,8 +50,36 @@ def reward(cadence_next: float, action, beta: float) -> float:
     return float(cadence_next - beta * np.sum(a * a))
 
 
+def mirrored_transitions(angles, cadences, controls, beta: float):
+    """Right-leg and mirrored left-leg transitions of one trajectory.
+
+    `angles` and `cadences` hold the trajectory's T+1 crank angles and
+    cadences, `controls` the T control rows applied between them, right-leg
+    muscles first.  Returns (obs, act, rew, next_obs) with 2T rows: step t's
+    right-leg transition is row 2t and its mirrored left-leg twin row 2t+1,
+    each what make_observation and reward give for that leg.  The previous
+    action before step 0 is zero.  obs and next_obs are views of one array
+    (next_obs row r is obs row r + 2), and act is a view of float64 controls.
+    """
+    cadences = np.asarray(cadences, dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    steps, width = controls.shape
+    n = width // 2
+    sin, cos = np.sin(angles), np.cos(angles)
+    # the observation at each of the T+1 instants, indexed [instant, leg]
+    obs = np.empty((steps + 1, 2, 3 + n))
+    obs[:, 0, 0], obs[:, 0, 1] = sin, cos
+    obs[:, 1, 0], obs[:, 1, 1] = -sin, -cos
+    obs[:, :, 2] = cadences[:, None]
+    obs[0, :, 3:] = 0.0
+    obs[1:, :, 3:] = controls.reshape(steps, 2, n)
+    act = controls.reshape(2 * steps, n)
+    rew = np.repeat(cadences[1:], 2) - beta * np.sum(act * act, axis=1)
+    return obs[:-1].reshape(2 * steps, -1), act, rew, obs[1:].reshape(2 * steps, -1)
+
+
 class CyclingEnv:
-    """Episodic wrapper: seeded resets, mirrored tuple construction, logging."""
+    """Episodic wrapper: seeded resets, stepping, whole-episode rollouts."""
 
     def __init__(self, config: CyclingConfig, muscles=None, episode: EpisodeConfig | None = None):
         self.config = biomech.validate_config(config)
@@ -71,7 +90,6 @@ class CyclingEnv:
         self.rng = np.random.default_rng(self.episode.seed)
         self.n_actions = config.n_muscles_per_leg
         self.obs_dim = 3 + self.n_actions
-        self.interaction_count = 0
         self.state: SimState | None = None
         self._prev_right = np.zeros(self.n_actions)
         self._prev_left = np.zeros(self.n_actions)
@@ -88,84 +106,42 @@ class CyclingEnv:
         prev = self._prev_right if side == RIGHT else self._prev_left
         return make_observation(self.state, prev, side)
 
-    def step(self, a_right, a_left) -> tuple[SimState, ExperienceTuple, ExperienceTuple]:
-        """Apply both legs' stimulation for one control interval.
-
-        Returns the new state plus the right and mirrored-left experience
-        tuples; both share the next-step cadence but carry their own action
-        penalty.
-        """
+    def step(self, a_right, a_left) -> SimState:
+        """Apply both legs' stimulation, clipped to [0, 1], for one control
+        interval; returns the new state."""
         if self.state is None:
             raise RuntimeError("reset() the environment before stepping")
         a_right = np.clip(np.asarray(a_right, dtype=float), 0.0, 1.0)
         a_left = np.clip(np.asarray(a_left, dtype=float), 0.0, 1.0)
-
-        obs_r = make_observation(self.state, self._prev_right, RIGHT)
-        obs_l = make_observation(self.state, self._prev_left, LEFT)
-
-        controls = np.concatenate([a_right, a_left])
-        new_state = biomech.sim_step(
-            self.config, self.muscles, self.state, controls, self.episode.dt
+        self.state = biomech.sim_step(
+            self.config, self.muscles, self.state, np.concatenate([a_right, a_left]),
+            self.episode.dt,
         )
-        self.interaction_count += 1
-
-        beta = self.episode.beta
-        r_right = reward(new_state.cadence, a_right, beta)
-        r_left = reward(new_state.cadence, a_left, beta)
-
-        next_r = make_observation(new_state, a_right, RIGHT)
-        next_l = make_observation(new_state, a_left, LEFT)
-
-        self.state = new_state
         self._prev_right = a_right
         self._prev_left = a_left
-        return (
-            new_state,
-            ExperienceTuple(obs_r, a_right, r_right, next_r),
-            ExperienceTuple(obs_l, a_left, r_left, next_l),
-        )
+        return self.state
 
+    def rollout(self, policy, seed: int | None = None):
+        """Run one fixed-length episode from reset(seed), querying
+        `policy(obs)` once per leg per step.
 
-def run_episode(policy, env: CyclingEnv, log_path=None, seed: int | None = None):
-    """Run one fixed-length episode, querying `policy(obs)` once per leg per
-    step.  Returns (discounted right-leg return, list of all tuples)."""
-    env.reset(seed=seed)
-    ec = env.episode
-    tuples = []
-    episode_return = 0.0
-    discount = 1.0
-    rows = [] if log_path is not None else None
-    for _ in range(ec.steps):
-        a_right = policy(env.observe(RIGHT))
-        a_left = policy(env.observe(LEFT))
-        state, tup_r, tup_l = env.step(a_right, a_left)
-        tuples.append(tup_r)
-        tuples.append(tup_l)
-        episode_return += discount * tup_r.reward
-        discount *= ec.gamma
-        if rows is not None:
-            rows.append(
-                (state.sim_time, state.crank_angle, state.cadence,
-                 list(map(float, a_right)), list(map(float, a_left)),
-                 tup_r.reward, tup_l.reward)
-            )
-    if rows is not None:
-        write_episode_csv(log_path, rows, env.n_actions)
-    return episode_return, tuples
-
-
-def write_episode_csv(path, rows, n_actions: int) -> None:
-    header = ["time_s", "crank_angle_rad", "cadence_rad_s"]
-    header += [f"u_right_{i}" for i in range(n_actions)]
-    header += [f"u_left_{i}" for i in range(n_actions)]
-    header += ["reward_right", "reward_left"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, angle, cad, a_r, a_l, r_r, r_l in rows:
-            writer.writerow(
-                [f"{t:.9g}", f"{angle:.9g}", f"{cad:.9g}"]
-                + [f"{v:.9g}" for v in a_r]
-                + [f"{v:.9g}" for v in a_l]
-                + [f"{r_r:.9g}", f"{r_l:.9g}"]
-            )
+        Returns (discounted right-leg return, (obs, act, rew, next_obs)), the
+        arrays being the episode's mirrored_transitions.
+        """
+        state, _ = self.reset(seed=seed)
+        ec, n = self.episode, self.n_actions
+        angles = np.empty(ec.steps + 1)
+        cadences = np.empty(ec.steps + 1)
+        controls = np.empty((ec.steps, 2 * n))
+        angles[0], cadences[0] = state.crank_angle, state.cadence
+        for t in range(ec.steps):
+            state = self.step(policy(self.observe(RIGHT)), policy(self.observe(LEFT)))
+            angles[t + 1], cadences[t + 1] = state.crank_angle, state.cadence
+            controls[t, :n], controls[t, n:] = self._prev_right, self._prev_left
+        transitions = mirrored_transitions(angles, cadences, controls, ec.beta)
+        episode_return = 0.0
+        discount = 1.0
+        for r in transitions[2][0::2].tolist():
+            episode_return += discount * r
+            discount *= ec.gamma
+        return episode_return, transitions

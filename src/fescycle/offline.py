@@ -20,8 +20,9 @@ import numpy as np
 
 from . import biomech, pattern as patterns, sac
 from .biomech import LEFT, RIGHT, CyclingConfig
-from .env import reward
-from .errors import InconsistentConfig, InsufficientData, NonFiniteState, ShapeMismatch
+from .env import mirrored_transitions
+from .errors import (InconsistentConfig, InsufficientData, InvalidArgument, NonFiniteState,
+                     ShapeMismatch)
 from .pattern import PatternPerturbation, StimulationPattern, pattern_control
 
 RPM_PER_RAD_S = 60.0 / (2.0 * math.pi)
@@ -232,15 +233,13 @@ def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPa
 
 class OfflineDataset:
     """Fixed experience set with the same sampling interface as the replay
-    buffer; behavior tag records the policy that generated it."""
+    buffer."""
 
-    def __init__(self, obs, act, rew, next_obs, session_ids, behavior: str):
+    def __init__(self, obs, act, rew, next_obs):
         self.obs = obs
         self.act = act
         self.rew = rew
         self.next_obs = next_obs
-        self.session_ids = tuple(session_ids)
-        self.behavior = behavior
 
     def __len__(self) -> int:
         return len(self.rew)
@@ -256,11 +255,12 @@ class OfflineDataset:
 
 
 def logs_to_dataset(logs, beta: float = 1.0, discard_first_s: float = 0.0) -> OfflineDataset:
-    """Mirrored experience tuples from consecutive log rows.
+    """Mirrored transitions from consecutive log rows.
 
-    Each pair of consecutive rows yields a right-leg tuple and its mirrored
-    left-leg twin; the last row of a session only serves as a next state.
-    Rows earlier than discard_first_s are dropped to cut spin-up transients.
+    Each pair of consecutive rows yields a right-leg transition and its
+    mirrored left-leg twin (env.mirrored_transitions); the last row of a
+    session only serves as a next state.  Transitions from rows earlier than
+    discard_first_s are dropped to cut spin-up transients.
     """
     if not logs:
         raise InsufficientData("no session logs given")
@@ -277,39 +277,13 @@ def logs_to_dataset(logs, beta: float = 1.0, discard_first_s: float = 0.0) -> Of
                                 f"columns, session {first.pattern_id} has "
                                 f"{first.controls.shape[1]}")
 
-    obs_rows, act_rows, rew_rows, next_rows = [], [], [], []
-    n = logs[0].controls.shape[1] // 2
+    blocks = []
     for log in logs:
-        rows = len(log)
-        for i in range(rows - 1):
-            if log.times[i] < discard_first_s:
-                continue
-            u_r = log.controls[i, :n]
-            u_l = log.controls[i, n:]
-            prev_r = log.controls[i - 1, :n] if i > 0 else np.zeros(n)
-            prev_l = log.controls[i - 1, n:] if i > 0 else np.zeros(n)
-            sin_i, cos_i = math.sin(log.crank_angles[i]), math.cos(log.crank_angles[i])
-            sin_j, cos_j = math.sin(log.crank_angles[i + 1]), math.cos(log.crank_angles[i + 1])
-            w_i, w_j = log.cadences[i], log.cadences[i + 1]
-
-            obs_rows.append([sin_i, cos_i, w_i, *prev_r])
-            act_rows.append(u_r)
-            rew_rows.append(reward(w_j, u_r, beta))
-            next_rows.append([sin_j, cos_j, w_j, *u_r])
-
-            obs_rows.append([-sin_i, -cos_i, w_i, *prev_l])
-            act_rows.append(u_l)
-            rew_rows.append(reward(w_j, u_l, beta))
-            next_rows.append([-sin_j, -cos_j, w_j, *u_l])
-
-    return OfflineDataset(
-        np.array(obs_rows),
-        np.array(act_rows),
-        np.array(rew_rows),
-        np.array(next_rows),
-        [log.pattern_id for log in logs],
-        behavior="pattern_controller",
-    )
+        obs, act, rew, next_obs = mirrored_transitions(
+            log.crank_angles, log.cadences, log.controls[:-1], beta)
+        keep = np.repeat(log.times[:-1] >= discard_first_s, 2)
+        blocks.append((obs[keep], act[keep], rew[keep], next_obs[keep]))
+    return OfflineDataset(*(np.concatenate(column) for column in zip(*blocks)))
 
 
 def finetune(agent: sac.SacAgent, dataset: OfflineDataset, tc: sac.TrainConfig,
@@ -358,6 +332,11 @@ def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
     """
     steps = round(duration_s / dt)
     skip = round(transient_s / dt)
+    if n_trials < 1:
+        raise InvalidArgument(f"n_trials must be >= 1, got {n_trials}")
+    if steps <= skip:
+        raise InvalidArgument(f"duration {duration_s:g} s leaves no step after the "
+                              f"{transient_s:g} s transient")
     jobs = [(config, muscles, p, [seed, trial], start_cadence, steps, dt)
             for trial in range(n_trials)]
     trials = [

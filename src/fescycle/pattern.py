@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .biomech import LEFT, MUSCLE_NAMES
-from .errors import DegenerateInterval, InconsistentConfig, NonConvergentPrevAction
+from .errors import (DegenerateInterval, InconsistentConfig, InvalidArgument,
+                     NonConvergentPrevAction)
 
 FULL_CIRCLE = (0.0, 360.0)
 
@@ -189,6 +190,11 @@ def extract_pattern(actor, config, resolution_deg: float = 1.0,
     shorter than gap_deg are merged and ON islands shorter than island_deg
     are dropped.
     """
+    if not (math.isfinite(resolution_deg) and resolution_deg > 0):
+        raise InvalidArgument(f"resolution_deg must be positive and finite, got {resolution_deg}")
+    for name, value in (("reference_cadence", reference_cadence), ("threshold", threshold)):
+        if not math.isfinite(value):
+            raise InvalidArgument(f"{name} must be finite, got {value}")
     if hasattr(actor, "act"):
         policy = lambda obs: actor.act(obs, deterministic=True)
     else:

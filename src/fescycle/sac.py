@@ -166,31 +166,28 @@ class ReplayBuffer:
         self._next_obs = grown(self._next_obs, self.obs_dim)
         self._alloc = new_alloc
 
-    def push(self, obs, action, rew, next_obs) -> None:
-        if self._next >= self._alloc and self._alloc < self.capacity:
-            self._grow(self._next + 1)
-        i = self._next
-        self._obs[i] = obs
-        self._act[i] = action
-        self._rew[i] = rew
-        self._next_obs[i] = next_obs
-        self.inserted += 1
-        self._size = min(self._size + 1, self.capacity)
-        self._next = (self._next + 1) % self.capacity
+    def extend(self, obs, act, rew, next_obs) -> None:
+        """Store a block of rows, oldest first; once the ring is full each
+        row overwrites the oldest one stored."""
+        rew = np.asarray(rew, dtype=float)
+        k = len(rew)
+        if self._next + k > self._alloc and self._alloc < self.capacity:
+            self._grow(self._next + k)
+        first = max(k - self.capacity, 0)  # earlier rows would be overwritten
+        idx = (self._next + np.arange(first, k)) % self.capacity
+        self._obs[idx] = np.asarray(obs)[first:]
+        self._act[idx] = np.asarray(act)[first:]
+        self._rew[idx] = rew[first:]
+        self._next_obs[idx] = np.asarray(next_obs)[first:]
+        self.inserted += k
+        self._size = min(self._size + k, self.capacity)
+        self._next = (self._next + k) % self.capacity
 
-    def push_tuple(self, tup) -> None:
-        self.push(tup.obs, tup.action, tup.reward, tup.next_obs)
+    def push(self, obs, action, rew, next_obs) -> None:
+        self.extend([obs], [action], [rew], [next_obs])
 
     def __len__(self) -> int:
         return self._size
-
-    def contents(self):
-        """Stored tuples in insertion order (oldest first)."""
-        if self._size < self.capacity:
-            order = np.arange(self._size)
-        else:
-            order = (np.arange(self.capacity) + self._next) % self.capacity
-        return (self._obs[order], self._act[order], self._rew[order], self._next_obs[order])
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> dict:
         idx = rng.integers(0, self._size, size=batch_size)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sac
-from .env import CyclingEnv, run_episode
+from .env import CyclingEnv
 from .errors import InsufficientData, InvalidArgument
 
 PLATEAU_PATIENCE = 10  # test episodes without a >2% best-return improvement
@@ -38,6 +38,8 @@ def train_agent(env: CyclingEnv, tc: sac.TrainConfig, max_episodes: int = 200,
     """
     if max_episodes < 1:
         raise InvalidArgument("max_episodes must be >= 1")
+    if test_episodes is None and test_every < 1:
+        raise InvalidArgument("test_every must be >= 1")
     if agent is None:
         agent = sac.SacAgent(env.obs_dim, env.n_actions, tc)
     buffer = sac.ReplayBuffer(env.obs_dim, env.n_actions)
@@ -47,9 +49,8 @@ def train_agent(env: CyclingEnv, tc: sac.TrainConfig, max_episodes: int = 200,
     best_agent = None
     tests_since_gain = 0
     for episode in range(1, max_episodes + 1):
-        train_return, tuples = run_episode(lambda obs: agent.act(obs), env)
-        for tup in tuples:
-            buffer.push_tuple(tup)
+        train_return, transitions = env.rollout(agent.act)
+        buffer.extend(*transitions)
         try:
             sac.sac_update(agent, buffer, tc)
         except InsufficientData:
@@ -62,9 +63,7 @@ def train_agent(env: CyclingEnv, tc: sac.TrainConfig, max_episodes: int = 200,
             else episode % test_every == 0
         )
         if do_test:
-            test_return, _ = run_episode(
-                lambda obs: agent.act(obs, deterministic=True), env
-            )
+            test_return, _ = env.rollout(lambda obs: agent.act(obs, deterministic=True))
             point.test_return = test_return
             if test_return > best_test + PLATEAU_REL_GAIN * abs(best_test):
                 tests_since_gain = 0

@@ -310,8 +310,10 @@ class TestCollectFinetuneEvaluate:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(bm, "sim_step", failing_step)
         out = tmp_path / ("logs" if command == "collect" else "eval.csv")
+        # evaluate averages after a 5 s transient, so its drive runs longer
+        duration = "1" if command == "collect" else "6"
         rc = cli.main([command, str(config_path), str(pattern_path), "--out", str(out),
-                       "--duration", "1", "--seed", "1"])
+                       "--duration", duration, "--seed", "1"])
         assert rc == 1
         stderr = capfd.readouterr().err
         assert "Traceback" not in stderr
@@ -389,6 +391,33 @@ class TestTrain:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InvalidArgument"
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--test-every", "0"]),
+        ("extract", ["--resolution", "0"]),
+        ("extract", ["--resolution", "inf"]),
+        ("extract", ["--cadence", "nan"]),
+        ("extract", ["--threshold", "nan"]),
+        ("evaluate", ["--trials", "0"]),
+        ("evaluate", ["--duration", "2"]),
+        ("evaluate", ["--duration", "5"]),
+    ], ids=lambda v: v if isinstance(v, str) else "=".join(v))
+    def test_bad_number_rejected(self, tmp_path, config_path, pattern_path, capsys,
+                                 command, flags):
+        out = tmp_path / "out"
+        if command == "train":
+            args = [str(config_path), "--curve", str(tmp_path / "c.csv")]
+        elif command == "extract":
+            agent_path = tmp_path / "agent.json"
+            sac.save_agent(constant_agent(), agent_path)
+            args = [str(agent_path), str(config_path)]
+        else:
+            args = [str(config_path), str(pattern_path)]
+        rc = cli.main([command, *args, "--out", str(out), *flags])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidArgument"
+        assert not out.exists()
 
     def test_env_seed_override_changes_outputs(self, tmp_path, config_path):
         train_path = tmp_path / "train.json"

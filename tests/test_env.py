@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fescycle import biomech as bm
-from fescycle.env import CyclingEnv, EpisodeConfig, make_observation, reward, run_episode
+from fescycle.env import (CyclingEnv, EpisodeConfig, make_observation, mirrored_transitions,
+                          reward)
 
 # chi-square 99th percentile, 35 degrees of freedom
 CHI2_CRIT_35_P01 = 57.342
@@ -96,107 +97,131 @@ class TestReset:
         assert chi2 < CHI2_CRIT_35_P01
 
 
+def one_step(env, a_r, a_l):
+    """Transitions of one env.step from the current state."""
+    before = env.state
+    after = env.step(a_r, a_l)
+    return mirrored_transitions(
+        [before.crank_angle, after.crank_angle], [before.cadence, after.cadence],
+        [np.concatenate([a_r, a_l])], env.episode.beta,
+    ), after
+
+
 class TestEnvStep:
     def test_zero_actions_from_rest_give_zero_rewards(self, nominal_2m):
         env = make_env(nominal_2m, seed=5)
         env.reset()
-        _, tup_r, tup_l = env.step(np.zeros(2), np.zeros(2))
-        assert tup_r.reward == 0.0
-        assert tup_l.reward == 0.0
+        (_, _, rew, _), _ = one_step(env, np.zeros(2), np.zeros(2))
+        np.testing.assert_array_equal(rew, [0.0, 0.0])
 
     def test_reward_split_between_legs(self, nominal_2m):
         env = make_env(nominal_2m, seed=5)
         env.reset()
         a_r = np.array([0.9, 0.1])
         a_l = np.array([0.2, 0.5])
-        _, tup_r, tup_l = env.step(a_r, a_l)
+        (_, _, rew, _), _ = one_step(env, a_r, a_l)
         want = 1.0 * (np.sum(a_l**2) - np.sum(a_r**2))
-        assert tup_r.reward - tup_l.reward == pytest.approx(want, abs=1e-12)
+        assert rew[0] - rew[1] == pytest.approx(want, abs=1e-12)
 
     def test_mirrored_tuple_structure(self, nominal_2m):
         env = make_env(nominal_2m, seed=8)
         env.reset()
         a_r = np.array([0.7, 0.2])
         a_l = np.array([0.1, 0.8])
-        state, tup_r, tup_l = env.step(a_r, a_l)
-        np.testing.assert_allclose(tup_l.obs[:2], -tup_r.obs[:2], atol=1e-12)
-        assert tup_l.obs[2] == tup_r.obs[2]
-        np.testing.assert_array_equal(tup_r.action, a_r)
-        np.testing.assert_array_equal(tup_l.action, a_l)
-        np.testing.assert_array_equal(tup_r.next_obs[3:], a_r)
-        np.testing.assert_array_equal(tup_l.next_obs[3:], a_l)
-        assert tup_r.next_obs[2] == state.cadence
+        (obs, act, _, next_obs), state = one_step(env, a_r, a_l)
+        np.testing.assert_allclose(obs[1, :2], -obs[0, :2], atol=1e-12)
+        assert obs[1, 2] == obs[0, 2]
+        np.testing.assert_array_equal(act[0], a_r)
+        np.testing.assert_array_equal(act[1], a_l)
+        np.testing.assert_array_equal(next_obs[0, 3:], a_r)
+        np.testing.assert_array_equal(next_obs[1, 3:], a_l)
+        assert next_obs[0, 2] == state.cadence
 
-    def test_tuple_rewards_recomputable(self, nominal_2m):
-        env = make_env(nominal_2m, seed=21)
-        env.reset()
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tuple_rewards_recomputable(self, n, nominal_2m, nominal_3m):
+        env = make_env(nominal_2m if n == 2 else nominal_3m, seed=21, steps=30)
         rng = np.random.default_rng(0)
-        for _ in range(30):
-            a_r = rng.uniform(0.0, 1.0, 2)
-            a_l = rng.uniform(0.0, 1.0, 2)
-            state, tup_r, tup_l = env.step(a_r, a_l)
-            assert tup_r.reward == reward(tup_r.next_obs[2], tup_r.action, 1.0)
-            assert tup_l.reward == reward(tup_l.next_obs[2], tup_l.action, 1.0)
+        _, (_, act, rew, next_obs) = env.rollout(lambda obs: rng.uniform(0.0, 1.0, n))
+        for i in range(len(rew)):
+            assert rew[i] == reward(next_obs[i][2], act[i], 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rows_match_scalar_reference(self, n, nominal_2m, nominal_3m):
+        """Each row is byte-equal to make_observation and reward applied to
+        that step and leg, the previous action chaining through the steps."""
+        env = make_env(nominal_2m if n == 2 else nominal_3m, seed=3, steps=40)
+        env.reset()
+        rng = np.random.default_rng(1)
+        states = [env.state]
+        acts = []
+        for _ in range(40):
+            a_r, a_l = rng.uniform(-0.2, 1.2, n), rng.uniform(-0.2, 1.2, n)
+            states.append(env.step(a_r, a_l))
+            acts.append((np.clip(a_r, 0.0, 1.0), np.clip(a_l, 0.0, 1.0)))
+        obs, act, rew, next_obs = mirrored_transitions(
+            [s.crank_angle for s in states], [s.cadence for s in states],
+            [np.concatenate(a) for a in acts], 0.7,
+        )
+        prev = (np.zeros(n), np.zeros(n))
+        for t, (before, after, legs) in enumerate(zip(states, states[1:], acts)):
+            for leg, side in enumerate((bm.RIGHT, bm.LEFT)):
+                row = 2 * t + leg
+                want = make_observation(before, prev[leg], side)
+                assert obs[row].tobytes() == want.tobytes()
+                assert act[row].tobytes() == legs[leg].tobytes()
+                assert rew[row] == reward(after.cadence, legs[leg], 0.7)
+                want = make_observation(after, legs[leg], side)
+                assert next_obs[row].tobytes() == want.tobytes()
+            prev = legs
 
     def test_hundred_steps_give_two_hundred_tuples(self, nominal_2m):
         env = make_env(nominal_2m, seed=2)
-        _, tuples = run_episode(lambda obs: np.full(2, 0.3), env)
-        assert len(tuples) == 200
-
-    def test_interaction_counter(self, nominal_2m):
-        env = make_env(nominal_2m, seed=2)
-        env.reset()
-        env.step(np.zeros(2), np.zeros(2))
-        env.step(np.zeros(2), np.zeros(2))
-        assert env.interaction_count == 2
+        _, (obs, act, rew, next_obs) = env.rollout(lambda obs: np.full(2, 0.3))
+        assert len(obs) == len(act) == len(rew) == len(next_obs) == 200
 
 
-class TestRunEpisode:
+class TestRollout:
     def test_zero_policy_returns_zero(self, nominal_2m):
         env = make_env(nominal_2m, seed=4)
-        total, tuples = run_episode(lambda obs: np.zeros(2), env)
+        total, (_, _, rew, _) = env.rollout(lambda obs: np.zeros(2))
         assert total == 0.0
-        assert all(t.reward == 0.0 for t in tuples)
+        assert np.all(rew == 0.0)
 
     def test_deterministic_policy_reproducible(self, nominal_2m):
         def policy(obs):
             return np.array([0.5 + 0.5 * obs[0], 0.25])
 
-        r1, t1 = run_episode(policy, make_env(nominal_2m, seed=77))
-        r2, t2 = run_episode(policy, make_env(nominal_2m, seed=77))
+        r1, t1 = make_env(nominal_2m, seed=77).rollout(policy)
+        r2, t2 = make_env(nominal_2m, seed=77).rollout(policy)
         assert r1 == r2
         for a, b in zip(t1, t2):
-            np.testing.assert_array_equal(a.obs, b.obs)
-            assert a.reward == b.reward
+            assert a.tobytes() == b.tobytes()
+
+    def test_fixed_seed_overrides_env_stream(self, nominal_2m):
+        env = make_env(nominal_2m, seed=1)
+        _, (o1, *_) = env.rollout(lambda obs: np.zeros(2), seed=9)
+        _, (o2, *_) = env.rollout(lambda obs: np.zeros(2), seed=9)
+        np.testing.assert_array_equal(o1, o2)
 
     def test_return_is_discounted_right_leg_sum(self, nominal_2m):
         env = make_env(nominal_2m, seed=6)
-        total, tuples = run_episode(lambda obs: np.full(2, 0.4), env)
-        right = tuples[0::2]
+        total, (_, _, rew, _) = env.rollout(lambda obs: np.full(2, 0.4))
+        right = rew[0::2]
         gamma = env.episode.gamma
-        want = sum(t.reward * gamma**i for i, t in enumerate(right))
+        want = sum(r * gamma**i for i, r in enumerate(right))
         assert total == pytest.approx(want, abs=1e-9)
 
     def test_episode_length_fixed_no_hidden_termination(self, nominal_2m):
         env = make_env(nominal_2m, seed=6, steps=37)
-        _, tuples = run_episode(lambda obs: np.full(2, 1.0), env)
-        assert len(tuples) == 2 * 37
+        _, (obs, *_) = env.rollout(lambda obs: np.full(2, 1.0))
+        assert len(obs) == 2 * 37
 
     def test_unit_circle_holds_for_emitted_observations(self, nominal_2m):
         env = make_env(nominal_2m, seed=10)
         rng = np.random.default_rng(1)
-        _, tuples = run_episode(lambda obs: rng.uniform(0, 1, 2), env)
-        for t in tuples:
-            for o in (t.obs, t.next_obs):
-                assert abs(o[0] ** 2 + o[1] ** 2 - 1.0) <= 1e-12
-
-    def test_episode_csv_log(self, nominal_2m, tmp_path):
-        env = make_env(nominal_2m, seed=10)
-        path = tmp_path / "episode.csv"
-        run_episode(lambda obs: np.full(2, 0.6), env, log_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 101
-        assert lines[0].split(",")[:3] == ["time_s", "crank_angle_rad", "cadence_rad_s"]
+        _, (obs, _, _, next_obs) = env.rollout(lambda obs: rng.uniform(0, 1, 2))
+        for o in (obs, next_obs):
+            assert np.all(np.abs(o[:, 0] ** 2 + o[:, 1] ** 2 - 1.0) <= 1e-12)
 
 
 class TestMirrorConsistency:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from fescycle import biomech as bm
-from fescycle import offline, sac
-from fescycle.env import reward
+from fescycle import offline, sac, training
+from fescycle.env import CyclingEnv, EpisodeConfig, reward
 from fescycle.errors import InconsistentConfig, InsufficientData, NonFiniteState, ShapeMismatch
 from fescycle.pattern import StimulationPattern, empty_pattern
 
@@ -177,6 +177,38 @@ class TestLogsToDataset:
         # right-leg tuple i>0: observation carries the previous row's control
         np.testing.assert_array_equal(data.obs[2][3:], log.controls[0][:n])
         np.testing.assert_array_equal(data.obs[0][3:], np.zeros(n))
+
+    def test_online_episode_relogged_matches_buffer_rows(self, nominal_2m, monkeypatch):
+        """A training episode, re-logged as a SessionLog, converts into the
+        same bytes training wrote into its replay buffer."""
+        written = []
+        extend = sac.ReplayBuffer.extend
+
+        def spy(buffer, *block):
+            written.append([np.array(column) for column in block])
+            extend(buffer, *block)
+
+        monkeypatch.setattr(sac.ReplayBuffer, "extend", spy)
+        episode = EpisodeConfig(seed=12, steps=60)
+        tc = sac.TrainConfig(seed=2, batch=64, grad_steps_per_episode=2)
+        training.train_agent(CyclingEnv(nominal_2m, episode=episode), tc, max_episodes=1)
+        (rows,) = written
+        act = rows[1]
+        # replay the episode's plant on a fresh env of the same seed
+        env = CyclingEnv(nominal_2m, episode=episode)
+        env.reset()
+        states = [env.state] + [env.step(a_r, a_l) for a_r, a_l in zip(act[0::2], act[1::2])]
+        controls = np.hstack([act[0::2], act[1::2]])
+        log = offline.SessionLog(
+            pattern_id="online", config_hash="sim", dt=episode.dt,
+            times=episode.dt * np.arange(len(states)),
+            crank_angles=np.array([s.crank_angle for s in states]),
+            cadences=np.array([s.cadence for s in states]),
+            controls=np.vstack([controls, controls[-1:]]),
+        )
+        data = offline.logs_to_dataset([log], beta=episode.beta)
+        for name, column in zip(("obs", "act", "rew", "next_obs"), rows):
+            assert getattr(data, name).tobytes() == column.tobytes(), name
 
     def test_mixed_configs_rejected(self, rig, base_pattern, ten_sessions):
         config, muscles = rig

@@ -316,17 +316,47 @@ class TestReplayBuffer:
         for i in range(5):
             buf.push([i, i], [i], float(i), [i + 1, i + 1])
         assert len(buf) == 5
-        obs, act, rew, _ = buf.contents()
-        np.testing.assert_array_equal(rew, [0, 1, 2, 3, 4])
+        got = buf.sample(1000, np.random.default_rng(0))
+        assert set(got["rew"]) == {0.0, 1.0, 2.0, 3.0, 4.0}
+        np.testing.assert_array_equal(got["obs"], np.repeat(got["rew"][:, None], 2, axis=1))
+        np.testing.assert_array_equal(got["act"][:, 0], got["rew"])
+        np.testing.assert_array_equal(got["next_obs"], got["obs"] + 1)
 
     def test_ring_overwrites_oldest(self):
         buf = sac.ReplayBuffer(1, 1, capacity=4)
         for i in range(7):
             buf.push([i], [0.5], float(i), [i])
         assert len(buf) == 4
-        _, _, rew, _ = buf.contents()
-        np.testing.assert_array_equal(rew, [3, 4, 5, 6])
+        assert set(buf.sample(1000, np.random.default_rng(0))["rew"]) == {3.0, 4.0, 5.0, 6.0}
         assert buf.inserted == 7
+
+    @pytest.mark.parametrize("blocks", [(3, 4, 2), (5, 6), (13,), (1, 11, 1)])
+    def test_block_write_equals_row_pushes(self, blocks):
+        """Blocks written across the ring boundary (or longer than the ring)
+        store the same rows in the same slots as row-by-row pushes."""
+        rows = sum(blocks)
+        rng = np.random.default_rng(3)
+        obs = rng.standard_normal((rows, 2))
+        act = rng.uniform(0, 1, (rows, 1))
+        rew = rng.standard_normal(rows)
+        next_obs = rng.standard_normal((rows, 2))
+        by_row = sac.ReplayBuffer(2, 1, capacity=5)
+        by_block = sac.ReplayBuffer(2, 1, capacity=5)
+        start = 0
+        for k in blocks:
+            for i in range(start, start + k):
+                by_row.push(obs[i], act[i], rew[i], next_obs[i])
+            part = slice(start, start + k)
+            by_block.extend(obs[part], act[part], rew[part], next_obs[part])
+            start += k
+            assert (len(by_block), by_block.inserted) == (len(by_row), by_row.inserted)
+            a = by_row.sample(64, np.random.default_rng(k))
+            b = by_block.sample(64, np.random.default_rng(k))
+            for name in a:
+                assert a[name].tobytes() == b[name].tobytes()
+        assert by_block.inserted == rows
+        # the ring holds the last five rows
+        assert set(by_block.sample(500, np.random.default_rng(0))["rew"]) == set(rew[-5:])
 
     def test_uniform_sampling_within_three_sigma(self):
         buf = sac.ReplayBuffer(1, 1, capacity=64)
