@@ -423,13 +423,6 @@ def _crank_torque_raw(config, terms, crank_angle, cadence, activations) -> float
     return total
 
 
-def crank_torque(config: CyclingConfig, muscles, state: SimState) -> float:
-    """Net crank torque from all muscles of both legs via virtual work."""
-    return _crank_torque_raw(
-        config, _muscle_terms(muscles), state.crank_angle, state.cadence, state.activations
-    )
-
-
 _STEP_COUNT = 0
 
 

@@ -43,12 +43,11 @@ def _load_config(path) -> biomech.CyclingConfig:
     return biomech.config_from_json(_read_text(path))
 
 
-def _load_train_config(path, seed_override=None) -> sac.TrainConfig:
+def _load_train_config(path, seed: int, **defaults) -> sac.TrainConfig:
+    """The train-config JSON at `path` (no path: all defaults) with `seed`;
+    `defaults` fill the keys the file leaves out."""
     data = json.loads(_read_text(path)) if path else {}
-    tc = sac.train_config_from_dict(data)
-    if seed_override is not None:
-        tc = sac.TrainConfig(**{**data, "seed": seed_override})
-    return tc
+    return sac.train_config_from_dict({**defaults, **data, "seed": seed})
 
 
 def _env_seed() -> int | None:
@@ -125,7 +124,7 @@ def cmd_train(args) -> int:
     if args.max_episodes < 1:
         raise InvalidArgument("--max-episodes must be >= 1")
     config = biomech.validate_config(_load_config(args.config))
-    tc = _load_train_config(args.train, seed_override=seed)
+    tc = _load_train_config(args.train, seed)
     env = CyclingEnv(config, episode=EpisodeConfig(seed=seed))
     agent, curve = training.train_agent(
         env, tc, max_episodes=args.max_episodes, test_every=args.test_every
@@ -192,10 +191,7 @@ def cmd_finetune(args) -> int:
         raise InvalidArgument(f"no session CSV logs under {args.logs}")
     logs = [offline.load_session_log(p) for p in csv_paths]
     dataset = offline.logs_to_dataset(logs, discard_first_s=args.discard_first_s)
-    data = json.loads(_read_text(args.train)) if args.train else {}
-    data.setdefault("cql_weight", 5.0)
-    data["seed"] = seed
-    tc = sac.train_config_from_dict(data)
+    tc = _load_train_config(args.train, seed, cql_weight=5.0)
     agent.reconfigure(tc)
     offline.finetune(agent, dataset, tc, epochs=args.epochs)
     sac.save_agent(agent, args.out)

@@ -26,7 +26,6 @@ class EpisodeConfig:
     dt: float = 0.05
     beta: float = 1.0
     seed: int = 0
-    gamma: float = DISCOUNT
 
     def __post_init__(self):
         if self.steps < 1:
@@ -143,5 +142,5 @@ class CyclingEnv:
         discount = 1.0
         for r in transitions[2][0::2].tolist():
             episode_return += discount * r
-            discount *= ec.gamma
+            discount *= DISCOUNT
         return episode_return, transitions

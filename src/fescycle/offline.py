@@ -24,6 +24,7 @@ from .env import mirrored_transitions
 from .errors import (InconsistentConfig, InsufficientData, InvalidArgument, NonFiniteState,
                      ShapeMismatch)
 from .pattern import PatternPerturbation, StimulationPattern, pattern_control
+from .sac import OfflineDataset
 
 RPM_PER_RAD_S = 60.0 / (2.0 * math.pi)
 
@@ -106,21 +107,20 @@ class SessionLog:
         return float(self.times[-1])
 
 
-def default_perturbation_schedule() -> tuple[PatternPerturbation | None, ...]:
-    """Ten-session schedule: the base pattern first, then small rotations and
-    arc-size tweaks around it."""
-    return (
-        None,
-        PatternPerturbation(patterns.ROTATE, 10.0),
-        PatternPerturbation(patterns.ROTATE, -10.0),
-        PatternPerturbation(patterns.ROTATE, 20.0),
-        PatternPerturbation(patterns.ROTATE, -20.0),
-        PatternPerturbation(patterns.SHRINK, 10.0),
-        PatternPerturbation(patterns.EXTEND, 10.0),
-        PatternPerturbation(patterns.ROTATE, 15.0),
-        PatternPerturbation(patterns.ROTATE, -15.0),
-        PatternPerturbation(patterns.EXTEND, 20.0),
-    )
+# collect's sessions in order: the base pattern first, then small rotations
+# and arc-size tweaks around it
+SESSION_SCHEDULE = (
+    None,
+    PatternPerturbation(patterns.ROTATE, 10.0),
+    PatternPerturbation(patterns.ROTATE, -10.0),
+    PatternPerturbation(patterns.ROTATE, 20.0),
+    PatternPerturbation(patterns.ROTATE, -20.0),
+    PatternPerturbation(patterns.SHRINK, 10.0),
+    PatternPerturbation(patterns.EXTEND, 10.0),
+    PatternPerturbation(patterns.ROTATE, 15.0),
+    PatternPerturbation(patterns.ROTATE, -15.0),
+    PatternPerturbation(patterns.EXTEND, 20.0),
+)
 
 
 def _describe(pert: PatternPerturbation | None) -> str:
@@ -164,9 +164,20 @@ ASSIST_CADENCE = 3.0  # rad/s handed to the crank at session start (the push a
                       # helper or motor gives before stimulation takes over)
 
 
-def _drive_session(job):
-    """One collect session: the logged columns of an open-loop drive of
-    pattern `pat` from `start_angle`."""
+def _drive_steps(duration_s: float, dt: float) -> int:
+    """Control steps in a drive of duration_s; InvalidArgument unless the
+    duration is finite and holds at least one step."""
+    steps = duration_s / dt
+    if not (math.isfinite(steps) and round(steps) >= 1):
+        raise InvalidArgument(f"duration {duration_s:g} s must be finite and hold at least "
+                              f"one {dt:g} s control step")
+    return round(steps)
+
+
+def _drive(job):
+    """An open-loop drive of pattern `pat` from `start_angle` with the
+    starting push `start_cadence`: the steps + 1 rows of time, crank angle,
+    cadence and control that a SessionLog holds."""
     config, muscles, pat, start_angle, start_cadence, steps, dt = job
     state = replace(biomech.initial_state(config, start_angle), cadence=start_cadence)
     times = np.empty(steps + 1)
@@ -192,24 +203,24 @@ def _drive_session(job):
 
 def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPattern,
                      n_sessions: int = 10, duration_s: float = 10.0,
-                     schedule=None, seed: int = 0, dt: float = 0.05,
+                     seed: int = 0, dt: float = 0.05,
                      start_cadence: float = ASSIST_CADENCE) -> list[SessionLog]:
     """Drive the simulator open loop with perturbed copies of the pattern.
 
-    Each session resets to a random crank angle with an assisted starting
-    push and logs state and controls at the control rate; the assisted early
-    portion is what logs_to_dataset's discard window is for.  Sessions run
-    side by side as in _run_drives; the start angles are drawn up front, in
-    session order, so the logs do not depend on how many run at once.
+    Session k follows SESSION_SCHEDULE[k].  Each session resets to a random
+    crank angle with an assisted starting push and logs state and controls at
+    the control rate; the assisted early portion is what logs_to_dataset's
+    discard window is for.  Sessions run side by side as in _run_drives; the
+    start angles are drawn up front, in session order, so the logs do not
+    depend on how many run at once.
     """
-    if schedule is None:
-        schedule = default_perturbation_schedule()
-    if len(schedule) < n_sessions:
-        raise ValueError("perturbation schedule shorter than n_sessions")
+    if not 1 <= n_sessions <= len(SESSION_SCHEDULE):
+        raise InvalidArgument(f"n_sessions must lie in 1..{len(SESSION_SCHEDULE)}, "
+                              f"got {n_sessions}")
+    steps = _drive_steps(duration_s, dt)
     rng = np.random.default_rng(seed)
-    steps = round(duration_s / dt)
     fingerprint = config_fingerprint(config, muscles)
-    perts = schedule[:n_sessions]
+    perts = SESSION_SCHEDULE[:n_sessions]
     jobs = [
         (config, muscles,
          base_pattern if pert is None else patterns.perturb_pattern(base_pattern, pert),
@@ -227,31 +238,8 @@ def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPa
             controls=controls,
         )
         for k, (pert, (times, angles, cadences, controls))
-        in enumerate(zip(perts, _run_drives(_drive_session, jobs)))
+        in enumerate(zip(perts, _run_drives(_drive, jobs)))
     ]
-
-
-class OfflineDataset:
-    """Fixed experience set with the same sampling interface as the replay
-    buffer."""
-
-    def __init__(self, obs, act, rew, next_obs):
-        self.obs = obs
-        self.act = act
-        self.rew = rew
-        self.next_obs = next_obs
-
-    def __len__(self) -> int:
-        return len(self.rew)
-
-    def sample(self, batch_size: int, rng: np.random.Generator) -> dict:
-        idx = rng.integers(0, len(self.rew), size=batch_size)
-        return {
-            "obs": self.obs[idx],
-            "act": self.act[idx],
-            "rew": self.rew[idx],
-            "next_obs": self.next_obs[idx],
-        }
 
 
 def logs_to_dataset(logs, beta: float = 1.0, discard_first_s: float = 0.0) -> OfflineDataset:
@@ -293,6 +281,8 @@ def finetune(agent: sac.SacAgent, dataset: OfflineDataset, tc: sac.TrainConfig,
     One epoch runs tc.grad_steps_per_episode gradient steps; nothing here
     touches the simulator, which biomech.sim_step_count() can prove.
     """
+    if epochs < 1:
+        raise InvalidArgument(f"epochs must be >= 1, got {epochs}")
     if len(dataset) < tc.batch:
         raise InsufficientData(
             f"dataset has {len(dataset)} tuples, need at least {tc.batch}"
@@ -302,43 +292,29 @@ def finetune(agent: sac.SacAgent, dataset: OfflineDataset, tc: sac.TrainConfig,
     return agent
 
 
-def _drive_trial(job):
-    """One evaluation trial: the RPM trace of an open-loop drive of pattern
-    `p` from a start angle drawn from default_rng(start_seed)."""
-    config, muscles, p, start_seed, start_cadence, steps, dt = job
-    rng = np.random.default_rng(start_seed)
-    state = biomech.initial_state(config, float(rng.uniform(0.0, biomech.TWO_PI)))
-    state = replace(state, cadence=start_cadence)
-    rpm_trace = np.empty(steps)
-    for i in range(steps):
-        controls = np.concatenate([
-            pattern_control(p, state.crank_angle, RIGHT),
-            pattern_control(p, state.crank_angle, LEFT),
-        ])
-        state = biomech.sim_step(config, muscles, state, controls, dt)
-        rpm_trace[i] = state.cadence * RPM_PER_RAD_S
-    return rpm_trace
-
-
 def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
                      duration_s: float = 30.0, n_trials: int = 5, seed: int = 0,
                      transient_s: float = 5.0, dt: float = 0.05,
                      start_cadence: float = ASSIST_CADENCE) -> dict:
     """Open-loop pattern drive from random start angles.
 
-    Each trial begins with the assisted starting push; the mean RPM is taken
-    after the transient window so the push itself does not count.  Trials
-    run side by side as in _run_drives, each seeded by [seed, trial].
+    Each trial begins with the assisted starting push from a start angle
+    drawn from default_rng([seed, trial]); its RPM trace is the cadence after
+    each step, and the mean RPM is taken after the transient window so the
+    push itself does not count.  Trials run side by side as in _run_drives.
     """
-    steps = round(duration_s / dt)
-    skip = round(transient_s / dt)
     if n_trials < 1:
         raise InvalidArgument(f"n_trials must be >= 1, got {n_trials}")
+    steps = _drive_steps(duration_s, dt)
+    skip = round(transient_s / dt)
     if steps <= skip:
         raise InvalidArgument(f"duration {duration_s:g} s leaves no step after the "
                               f"{transient_s:g} s transient")
-    jobs = [(config, muscles, p, [seed, trial], start_cadence, steps, dt)
+    jobs = [(config, muscles, p,
+             float(np.random.default_rng([seed, trial]).uniform(0.0, biomech.TWO_PI)),
+             start_cadence, steps, dt)
             for trial in range(n_trials)]
+    traces = [cadences[1:] * RPM_PER_RAD_S for _, _, cadences, _ in _run_drives(_drive, jobs)]
     trials = [
         {
             "start_seed": [seed, trial],
@@ -346,7 +322,7 @@ def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
             "final_rpm": float(rpm_trace[-1]),
             "rpm_trace": rpm_trace,
         }
-        for trial, rpm_trace in enumerate(_run_drives(_drive_trial, jobs))
+        for trial, rpm_trace in enumerate(traces)
     ]
     return {
         "mean_rpm": float(np.mean([t["mean_rpm"] for t in trials])),

@@ -21,6 +21,11 @@ from .errors import (DegenerateInterval, InconsistentConfig, InvalidArgument,
 
 FULL_CIRCLE = (0.0, 360.0)
 
+# extract_pattern's clean-up: OFF gaps shorter than GAP_DEG are closed and ON
+# islands shorter than ISLAND_DEG dropped
+GAP_DEG = 5.0
+ISLAND_DEG = 5.0
+
 SHRINK = "shrink"
 EXTEND = "extend"
 ROTATE = "rotate"
@@ -180,14 +185,13 @@ def pattern_control(p: StimulationPattern, crank_angle: float, side: str) -> np.
 
 def extract_pattern(actor, config, resolution_deg: float = 1.0,
                     reference_cadence: float = 5.0, threshold: float = 0.5,
-                    gap_deg: float = 5.0, island_deg: float = 5.0,
                     source: str = "model_based") -> StimulationPattern:
     """Threshold the deterministic policy on a crank-angle grid.
 
     The previous-action observation channel is fed back while sweeping the
     circle, so the sweep runs three laps: by the second lap the feedback has
     reached a periodic fixed point and the third lap is read out.  Gaps
-    shorter than gap_deg are merged and ON islands shorter than island_deg
+    shorter than GAP_DEG are merged and ON islands shorter than ISLAND_DEG
     are dropped.
     """
     if not (math.isfinite(resolution_deg) and resolution_deg > 0):
@@ -225,7 +229,7 @@ def extract_pattern(actor, config, resolution_deg: float = 1.0,
         )
 
     intervals = tuple(
-        _marks_to_intervals(marks[2, :, m], resolution_deg, gap_deg, island_deg)
+        _marks_to_intervals(marks[2, :, m], resolution_deg)
         for m in range(n_muscles)
     )
     return StimulationPattern(tuple(MUSCLE_NAMES[:n_muscles]), intervals, source)
@@ -255,18 +259,18 @@ def _circular_runs(mask: np.ndarray):
     return runs
 
 
-def _marks_to_intervals(mask: np.ndarray, res: float, gap_deg: float, island_deg: float):
+def _marks_to_intervals(mask: np.ndarray, res: float):
     mask = mask.copy()
     n = len(mask)
     if mask.any() and not mask.all():
         off_runs = _circular_runs(~mask)
         for start, length in off_runs:
-            if length * res < gap_deg:
+            if length * res < GAP_DEG:
                 idx = (np.arange(start, start + length)) % n
                 mask[idx] = True
     if mask.all():
         return (FULL_CIRCLE,)
-    on_runs = [r for r in _circular_runs(mask) if r[1] * res >= island_deg]
+    on_runs = [r for r in _circular_runs(mask) if r[1] * res >= ISLAND_DEG]
     intervals = []
     for start, length in on_runs:
         on = start * res

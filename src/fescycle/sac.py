@@ -110,10 +110,6 @@ class SquashedGaussianActor:
         }
         return action, log_prob, cache
 
-    def sample(self, obs: np.ndarray, noise: np.ndarray):
-        action, log_prob, _ = self.sample_cached(obs, noise)
-        return action, log_prob
-
     def deterministic(self, obs: np.ndarray) -> np.ndarray:
         out = self.trunk.forward(obs)
         return _sigmoid(out[..., : self.n_actions])
@@ -135,68 +131,75 @@ class SquashedGaussianActor:
         return grads
 
 
-class ReplayBuffer:
-    """Ring buffer over (obs, action, reward, next_obs); uniform sampling."""
+class OfflineDataset:
+    """Transitions as row-aligned obs, act, rew and next_obs arrays, exactly
+    len(self) rows each; batches are drawn uniformly with replacement."""
+
+    def __init__(self, obs, act, rew, next_obs):
+        self.obs = obs
+        self.act = act
+        self.rew = rew
+        self.next_obs = next_obs
+
+    def __len__(self) -> int:
+        return len(self.rew)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> dict:
+        idx = rng.integers(0, len(self.rew), size=batch_size)
+        return {
+            "obs": self.obs[idx],
+            "act": self.act[idx],
+            "rew": self.rew[idx],
+            "next_obs": self.next_obs[idx],
+        }
+
+
+class ReplayBuffer(OfflineDataset):
+    """Ring of the last `capacity` transitions.
+
+    The rows live in backing arrays that start at 1024 rows and double as
+    rows arrive, up to `capacity`; the public arrays are views of their
+    first len(self) rows.
+    """
 
     def __init__(self, obs_dim: int, n_actions: int, capacity: int = 1_000_000):
-        self.obs_dim = obs_dim
-        self.n_actions = n_actions
+        super().__init__(np.empty((0, obs_dim)), np.empty((0, n_actions)), np.empty(0),
+                         np.empty((0, obs_dim)))
         self.capacity = capacity
-        self._alloc = 0
-        self._size = 0
-        self._next = 0
         self.inserted = 0
-        self._obs = self._act = self._rew = self._next_obs = None
-
-    def _grow(self, need: int) -> None:
-        new_alloc = max(1024, self._alloc)
-        while new_alloc < need:
-            new_alloc *= 2
-        new_alloc = min(new_alloc, self.capacity)
-        if new_alloc == self._alloc:
-            return
-        def grown(old, width):
-            arr = np.empty((new_alloc, width) if width else new_alloc)
-            if old is not None and self._size:
-                arr[: self._size] = old[: self._size]
-            return arr
-        self._obs = grown(self._obs, self.obs_dim)
-        self._act = grown(self._act, self.n_actions)
-        self._rew = grown(self._rew, 0)
-        self._next_obs = grown(self._next_obs, self.obs_dim)
-        self._alloc = new_alloc
+        self._next = 0
+        self._rows = (self.obs, self.act, self.rew, self.next_obs)
 
     def extend(self, obs, act, rew, next_obs) -> None:
         """Store a block of rows, oldest first; once the ring is full each
         row overwrites the oldest one stored."""
         rew = np.asarray(rew, dtype=float)
-        k = len(rew)
-        if self._next + k > self._alloc and self._alloc < self.capacity:
-            self._grow(self._next + k)
+        k, size = len(rew), len(self)
+        alloc = len(self._rows[0])
+        if self._next + k > alloc and alloc < self.capacity:
+            # the ring has not wrapped yet, so the rows stored are the first `size`
+            alloc = max(1024, alloc)
+            while alloc < self._next + k:
+                alloc *= 2
+            alloc = min(alloc, self.capacity)
+
+            def grown(old):
+                arr = np.empty((alloc, *old.shape[1:]))
+                arr[:size] = old[:size]
+                return arr
+
+            self._rows = tuple(grown(old) for old in self._rows)
         first = max(k - self.capacity, 0)  # earlier rows would be overwritten
         idx = (self._next + np.arange(first, k)) % self.capacity
-        self._obs[idx] = np.asarray(obs)[first:]
-        self._act[idx] = np.asarray(act)[first:]
-        self._rew[idx] = rew[first:]
-        self._next_obs[idx] = np.asarray(next_obs)[first:]
+        for rows, block in zip(self._rows, (obs, act, rew, next_obs)):
+            rows[idx] = np.asarray(block)[first:]
         self.inserted += k
-        self._size = min(self._size + k, self.capacity)
         self._next = (self._next + k) % self.capacity
+        size = min(size + k, self.capacity)
+        self.obs, self.act, self.rew, self.next_obs = (rows[:size] for rows in self._rows)
 
     def push(self, obs, action, rew, next_obs) -> None:
         self.extend([obs], [action], [rew], [next_obs])
-
-    def __len__(self) -> int:
-        return self._size
-
-    def sample(self, batch_size: int, rng: np.random.Generator) -> dict:
-        idx = rng.integers(0, self._size, size=batch_size)
-        return {
-            "obs": self._obs[idx],
-            "act": self._act[idx],
-            "rew": self._rew[idx],
-            "next_obs": self._next_obs[idx],
-        }
 
 
 class SacAgent:

@@ -24,24 +24,20 @@ class CurvePoint:
 
 
 def train_agent(env: CyclingEnv, tc: sac.TrainConfig, max_episodes: int = 200,
-                test_every: int = 5, test_episodes=None, plateau_stop: bool = True,
-                agent: sac.SacAgent | None = None, progress=None,
-                keep_best: bool = True):
+                test_every: int = 5, test_episodes=None, plateau_stop: bool = True):
     """Train until plateau or max_episodes; returns (agent, curve points).
 
     Test episodes run the deterministic policy with no exploration and do not
     feed the buffer.  `test_episodes` may give an explicit set of episode
     numbers to test at, otherwise every `test_every`-th episode is tested.
-    With keep_best the returned agent is the checkpoint with the highest test
-    return (late training can wander off the plateau); the curve always
-    records the raw sequence.
+    The returned agent is the checkpoint with the highest test return (late
+    training can wander off the plateau); the curve records the raw sequence.
     """
     if max_episodes < 1:
         raise InvalidArgument("max_episodes must be >= 1")
     if test_episodes is None and test_every < 1:
         raise InvalidArgument("test_every must be >= 1")
-    if agent is None:
-        agent = sac.SacAgent(env.obs_dim, env.n_actions, tc)
+    agent = sac.SacAgent(env.obs_dim, env.n_actions, tc)
     buffer = sac.ReplayBuffer(env.obs_dim, env.n_actions)
 
     curve: list[CurvePoint] = []
@@ -71,11 +67,8 @@ def train_agent(env: CyclingEnv, tc: sac.TrainConfig, max_episodes: int = 200,
                 tests_since_gain += 1
             if test_return > best_test:
                 best_test = test_return
-                if keep_best:
-                    best_agent = sac.clone_agent(agent)
+                best_agent = sac.clone_agent(agent)
         curve.append(point)
-        if progress is not None:
-            progress(point)
         if plateau_stop and do_test and tests_since_gain >= PLATEAU_PATIENCE:
             break
     if best_agent is not None:

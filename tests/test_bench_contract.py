@@ -1,7 +1,11 @@
 """The benchmark's span tracer (perfbench/spans.py) wraps fescycle's public
 functions by name and reads their arguments and results.  A traced training
 and fine-tuning run must raise nothing and record no span error, so a change
-to those functions cannot silently break every traced benchmark job."""
+to those functions cannot silently break every traced benchmark job.
+
+ReplayBuffer subclasses OfflineDataset and inherits its sample, so the
+tracer, which wraps sample on both classes, must count each batch once and
+leave neither class wrapped after uninstall."""
 
 from pathlib import Path
 
@@ -40,3 +44,8 @@ def test_traced_train_and_finetune_record_no_errors(nominal_2m, monkeypatch):
     assert tracer.calls["training.train_agent"] == 1
     assert tracer.calls["offline.dataset"] == 1
     assert tracer.calls["sac.update"] == 2
+    # three gradient steps in training and three in fine-tuning
+    assert tracer.calls["sac.sample"] == 6
+    assert tracer.count["sac.update.steps"] == 6
+    assert not hasattr(sac.ReplayBuffer.sample, "__wrapped__")
+    assert not hasattr(offline.OfflineDataset.sample, "__wrapped__")

@@ -404,7 +404,7 @@ class TestFastPlantMatchesReference:
             theta = rng.uniform(0.0, bm.TWO_PI)
             omega = rng.uniform(-8.0, 8.0)
             acts = tuple(rng.uniform(-0.3, 1.0, 2 * n_muscles))
-            got = bm.crank_torque(config, muscles, bm.SimState(theta, omega, acts))
+            got = bm._crank_torque_raw(config, bm._muscle_terms(muscles), theta, omega, acts)
             assert got == reference_torque(config, muscles, theta, omega, acts)
 
     @pytest.mark.parametrize("dt_control", [0.0, -0.05, math.nan, math.inf])
@@ -417,8 +417,8 @@ class TestFastPlantMatchesReference:
 class TestCrankTorque:
     def test_zero_activations(self, nominal_3m):
         muscles = bm.default_muscle_set(nominal_3m)
-        state = bm.initial_state(nominal_3m, 1.2)
-        assert bm.crank_torque(nominal_3m, muscles, state) == 0.0
+        terms = bm._muscle_terms(muscles)
+        assert bm._crank_torque_raw(nominal_3m, terms, 1.2, 0.0, (0.0,) * 6) == 0.0
 
     def test_matches_virtual_work_finite_differences(self, nominal_3m):
         cfg = nominal_3m
@@ -430,7 +430,7 @@ class TestCrankTorque:
             theta = rng.uniform(0.0, 2.0 * math.pi)
             omega = rng.uniform(-8.0, 8.0)
             acts = tuple(rng.uniform(0.0, 1.0, 6))
-            analytic = bm.crank_torque(cfg, muscles, bm.SimState(theta, omega, acts))
+            analytic = bm._crank_torque_raw(cfg, bm._muscle_terms(muscles), theta, omega, acts)
             estimate = 0.0
             for li, side in enumerate((bm.RIGHT, bm.LEFT)):
                 jp = bm.solve_leg_ik(cfg, theta + h, side)
@@ -453,12 +453,11 @@ class TestCrankTorque:
         muscles = bm.default_muscle_set(nominal_3m)
         acts = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
         swapped = (0.4, 0.5, 0.6, 0.1, 0.2, 0.3)
+        terms = bm._muscle_terms(muscles)
         for theta in (0.3, 1.0, 2.7, 5.1):
-            t1 = bm.crank_torque(nominal_3m, muscles, bm.SimState(theta, 3.0, acts))
-            t2 = bm.crank_torque(
-                nominal_3m, muscles,
-                bm.SimState((theta + math.pi) % (2 * math.pi), 3.0, swapped),
-            )
+            t1 = bm._crank_torque_raw(nominal_3m, terms, theta, 3.0, acts)
+            t2 = bm._crank_torque_raw(nominal_3m, terms, (theta + math.pi) % (2 * math.pi),
+                                      3.0, swapped)
             assert t1 == pytest.approx(t2, abs=1e-12)
 
 
@@ -470,9 +469,8 @@ def quad_positive_angle(config, muscles, cadence=0.0):
     for deg in range(360):
         acts = [0.0] * (2 * n)
         acts[0] = 1.0
-        torque = bm.crank_torque(
-            config, muscles, bm.SimState(math.radians(deg), cadence, tuple(acts))
-        )
+        torque = bm._crank_torque_raw(config, bm._muscle_terms(muscles), math.radians(deg),
+                                      cadence, acts)
         if torque > best_torque:
             best, best_torque = math.radians(deg), torque
     assert best_torque > config.resistance_coulomb * 2.0

@@ -401,6 +401,16 @@ class TestTrain:
         ("evaluate", ["--trials", "0"]),
         ("evaluate", ["--duration", "2"]),
         ("evaluate", ["--duration", "5"]),
+        ("evaluate", ["--duration", "inf"]),
+        ("evaluate", ["--duration", "nan"]),
+        ("collect", ["--duration", "inf"]),
+        ("collect", ["--duration", "nan"]),
+        ("collect", ["--duration", "0.01"]),
+        ("collect", ["--sessions", "-1"]),
+        ("collect", ["--sessions", "0"]),
+        ("collect", ["--sessions", "11"]),
+        ("finetune", ["--epochs", "0"]),
+        ("finetune", ["--epochs", "-3"]),
     ], ids=lambda v: v if isinstance(v, str) else "=".join(v))
     def test_bad_number_rejected(self, tmp_path, config_path, pattern_path, capsys,
                                  command, flags):
@@ -411,7 +421,15 @@ class TestTrain:
             agent_path = tmp_path / "agent.json"
             sac.save_agent(constant_agent(), agent_path)
             args = [str(agent_path), str(config_path)]
-        else:
+        elif command == "finetune":
+            agent_path, logs = tmp_path / "agent.json", tmp_path / "logs"
+            sac.save_agent(constant_agent(), agent_path)
+            # 280 tuples after the 1 s discard window: enough for one batch
+            assert cli.main(["collect", str(config_path), str(pattern_path), "--out", str(logs),
+                             "--sessions", "1", "--duration", "8"]) == 0
+            capsys.readouterr()
+            args = [str(agent_path), str(logs)]
+        else:  # collect and evaluate
             args = [str(config_path), str(pattern_path)]
         rc = cli.main([command, *args, "--out", str(out), *flags])
         assert rc == 1

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fescycle import biomech as bm
-from fescycle.env import (CyclingEnv, EpisodeConfig, make_observation, mirrored_transitions,
-                          reward)
+from fescycle.env import (DISCOUNT, CyclingEnv, EpisodeConfig, make_observation,
+                          mirrored_transitions, reward)
 
 # chi-square 99th percentile, 35 degrees of freedom
 CHI2_CRIT_35_P01 = 57.342
@@ -207,8 +207,7 @@ class TestRollout:
         env = make_env(nominal_2m, seed=6)
         total, (_, _, rew, _) = env.rollout(lambda obs: np.full(2, 0.4))
         right = rew[0::2]
-        gamma = env.episode.gamma
-        want = sum(r * gamma**i for i, r in enumerate(right))
+        want = sum(r * DISCOUNT**i for i, r in enumerate(right))
         assert total == pytest.approx(want, abs=1e-9)
 
     def test_episode_length_fixed_no_hidden_termination(self, nominal_2m):

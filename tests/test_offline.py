@@ -236,6 +236,27 @@ class TestLogsToDataset:
             offline.logs_to_dataset([])
 
 
+class TestOneStore:
+    def test_replay_buffer_samples_like_the_dataset(self, ten_sessions):
+        """A ReplayBuffer holding a dataset's rows draws the same batches as
+        the dataset from the same rng, before and after its arrays grow."""
+        data = offline.logs_to_dataset(ten_sessions)
+        assert offline.OfflineDataset is sac.OfflineDataset
+        columns = (data.obs, data.act, data.rew, data.next_obs)
+        buf = sac.ReplayBuffer(data.obs.shape[1], data.act.shape[1])
+        for stop in (1000, len(data)):
+            buf.extend(*(column[len(buf):stop] for column in columns))
+            rows = sac.OfflineDataset(*(column[:stop] for column in columns))
+            for seed in range(3):
+                a = rows.sample(256, np.random.default_rng(seed))
+                b = buf.sample(256, np.random.default_rng(seed))
+                for name in a:
+                    assert a[name].tobytes() == b[name].tobytes(), name
+        # the second block grew the 1024-row backing arrays
+        assert buf.rew.base.shape == (4096,)
+        assert (len(buf), buf.inserted) == (len(data), len(data))
+
+
 class TestFinetune:
     def test_requires_enough_tuples(self, ten_sessions):
         data = offline.logs_to_dataset(ten_sessions[:1])

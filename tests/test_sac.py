@@ -39,7 +39,8 @@ class TestPolicySample:
         agent, _ = make_agent(n_actions=3)
         pin_actor_heads(agent, 0.0, -20.0)  # raw clamps to -5, sigma ~ 6.7e-3
         rng = np.random.default_rng(0)
-        action, _ = agent.actor.sample(np.zeros((64, 5)), rng.standard_normal((64, agent.n_actions)))
+        action, _ = agent.actor.sample_cached(
+            np.zeros((64, 5)), rng.standard_normal((64, agent.n_actions)))[:2]
         np.testing.assert_allclose(action, 0.5, atol=0.05)
         det = agent.actor.deterministic(np.zeros(5))
         np.testing.assert_array_equal(det, 0.5)
@@ -55,7 +56,7 @@ class TestPolicySample:
         agent, _ = make_agent()
         rng = np.random.default_rng(5)
         obs = rng.standard_normal((500, 5))
-        action, _ = agent.actor.sample(obs, rng.standard_normal((500, agent.n_actions)))
+        action, _ = agent.actor.sample_cached(obs, rng.standard_normal((500, agent.n_actions)))[:2]
         assert np.all(action > 0.0)
         assert np.all(action < 1.0)
 
@@ -78,7 +79,7 @@ class TestPolicySample:
         chunk = 100_000
         obs = np.zeros((chunk, 1))
         for i in range(0, n_total, chunk):
-            a, lp = agent.actor.sample(obs, rng.standard_normal((chunk, 1)))
+            a, lp = agent.actor.sample_cached(obs, rng.standard_normal((chunk, 1)))[:2]
             samples[i : i + chunk] = a[:, 0]
             logps[i : i + chunk] = lp
 
@@ -551,7 +552,7 @@ class TestNonFiniteGuard:
     def _data(self, rng, n=300, bad_reward=None):
         buf = TestSacUpdate()._filled_buffer(rng, n=n)
         if bad_reward is not None:
-            buf._rew[: len(buf)] = bad_reward
+            buf.rew[:] = bad_reward
         return buf
 
     def test_infinite_reward_names_step_and_critic(self):
