@@ -97,7 +97,6 @@ def _build_sim(config_path, gap_path=None):
 
 
 def cmd_validate(args) -> int:
-    started = time.time()
     try:
         config = _load_config(args.config)
     except FileNotFoundError as exc:
@@ -121,8 +120,6 @@ def cmd_validate(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     seed = _resolve_seed(args.seed)
-    if args.max_episodes < 1:
-        raise InvalidArgument("--max-episodes must be >= 1")
     config = biomech.validate_config(_load_config(args.config))
     tc = _load_train_config(args.train, seed)
     env = CyclingEnv(config, episode=EpisodeConfig(seed=seed))

@@ -1,4 +1,8 @@
-"""RL environment around the cycling plant.
+"""RL environment around the cycling plant, and the one loop that steps it.
+
+drive() steps the plant under a per-step control callback; training
+episodes (CyclingEnv.rollout, closed loop through the policy) and pattern
+sessions and trials (offline, open loop) both run through it.
 
 Observations are [sin(crank_angle), cos(crank_angle), cadence, previous
 action]; one physical step yields two transitions, the right-leg one and a
@@ -77,66 +81,62 @@ def mirrored_transitions(angles, cadences, controls, beta: float):
     return obs[:-1].reshape(2 * steps, -1), act, rew, obs[1:].reshape(2 * steps, -1)
 
 
-class CyclingEnv:
-    """Episodic wrapper: seeded resets, stepping, whole-episode rollouts."""
+def drive(config: CyclingConfig, muscles, state: SimState, steps: int, dt: float, control):
+    """Step the plant `steps` times from `state`, applying `control(state)`,
+    a 2n-wide row with right-leg muscles first, at each step.
 
-    def __init__(self, config: CyclingConfig, muscles=None, episode: EpisodeConfig | None = None):
+    Returns (final state, times, angles, cadences, controls): the steps + 1
+    sim times, crank angles and cadences from `state` on, and the steps
+    control rows applied between them.
+    """
+    times = np.empty(steps + 1)
+    angles = np.empty(steps + 1)
+    cadences = np.empty(steps + 1)
+    controls = np.empty((steps, 2 * config.n_muscles_per_leg))
+    times[0], angles[0], cadences[0] = state.sim_time, state.crank_angle, state.cadence
+    for t in range(steps):
+        controls[t] = control(state)
+        state = biomech.sim_step(config, muscles, state, controls[t], dt)
+        times[t + 1], angles[t + 1], cadences[t + 1] = (
+            state.sim_time, state.crank_angle, state.cadence)
+    return state, times, angles, cadences, controls
+
+
+class CyclingEnv:
+    """Episodic wrapper: seeded start states and whole-episode rollouts."""
+
+    def __init__(self, config: CyclingConfig, episode: EpisodeConfig | None = None):
         self.config = biomech.validate_config(config)
-        self.muscles = tuple(muscles) if muscles is not None else biomech.default_muscle_set(config)
-        if len(self.muscles) != config.n_muscles_per_leg:
-            raise ValueError("muscle set size does not match config.n_muscles_per_leg")
+        self.muscles = biomech.default_muscle_set(config)
         self.episode = episode or EpisodeConfig()
         self.rng = np.random.default_rng(self.episode.seed)
         self.n_actions = config.n_muscles_per_leg
         self.obs_dim = 3 + self.n_actions
-        self.state: SimState | None = None
-        self._prev_right = np.zeros(self.n_actions)
-        self._prev_left = np.zeros(self.n_actions)
 
-    def reset(self, seed: int | None = None) -> tuple[SimState, np.ndarray]:
+    def reset(self, seed: int | None = None) -> SimState:
+        """A rest state at a uniform random crank angle drawn from
+        default_rng(seed), or from the env's own stream when seed is None."""
         rng = np.random.default_rng(seed) if seed is not None else self.rng
-        angle = float(rng.uniform(0.0, biomech.TWO_PI))
-        self.state = biomech.initial_state(self.config, angle)
-        self._prev_right = np.zeros(self.n_actions)
-        self._prev_left = np.zeros(self.n_actions)
-        return self.state, make_observation(self.state, self._prev_right, RIGHT)
-
-    def observe(self, side: str) -> np.ndarray:
-        prev = self._prev_right if side == RIGHT else self._prev_left
-        return make_observation(self.state, prev, side)
-
-    def step(self, a_right, a_left) -> SimState:
-        """Apply both legs' stimulation, clipped to [0, 1], for one control
-        interval; returns the new state."""
-        if self.state is None:
-            raise RuntimeError("reset() the environment before stepping")
-        a_right = np.clip(np.asarray(a_right, dtype=float), 0.0, 1.0)
-        a_left = np.clip(np.asarray(a_left, dtype=float), 0.0, 1.0)
-        self.state = biomech.sim_step(
-            self.config, self.muscles, self.state, np.concatenate([a_right, a_left]),
-            self.episode.dt,
-        )
-        self._prev_right = a_right
-        self._prev_left = a_left
-        return self.state
+        return biomech.initial_state(self.config, float(rng.uniform(0.0, biomech.TWO_PI)))
 
     def rollout(self, policy, seed: int | None = None):
         """Run one fixed-length episode from reset(seed), querying
-        `policy(obs)` once per leg per step.
+        `policy(obs)` for the right leg and then the left at each step; each
+        leg's action, clipped to [0, 1], is its previous action at the next.
 
         Returns (discounted right-leg return, (obs, act, rew, next_obs)), the
         arrays being the episode's mirrored_transitions.
         """
-        state, _ = self.reset(seed=seed)
-        ec, n = self.episode, self.n_actions
-        angles = np.empty(ec.steps + 1)
-        cadences = np.empty(ec.steps + 1)
-        controls = np.empty((ec.steps, 2 * n))
-        angles[0], cadences[0] = state.crank_angle, state.cadence
-        for t in range(ec.steps):
-            state = self.step(policy(self.observe(RIGHT)), policy(self.observe(LEFT)))
-            angles[t + 1], cadences[t + 1] = state.crank_angle, state.cadence
-            controls[t, :n], controls[t, n:] = self._prev_right, self._prev_left
+        ec = self.episode
+        prev = [np.zeros(self.n_actions), np.zeros(self.n_actions)]
+
+        def control(state):
+            for leg, side in enumerate((RIGHT, LEFT)):
+                prev[leg] = np.clip(policy(make_observation(state, prev[leg], side)), 0.0, 1.0)
+            return np.concatenate(prev)
+
+        _, _, angles, cadences, controls = drive(
+            self.config, self.muscles, self.reset(seed), ec.steps, ec.dt, control)
         transitions = mirrored_transitions(angles, cadences, controls, ec.beta)
         episode_return = 0.0
         discount = 1.0

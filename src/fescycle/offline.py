@@ -14,13 +14,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from . import biomech, pattern as patterns, sac
 from .biomech import LEFT, RIGHT, CyclingConfig
-from .env import mirrored_transitions
+from .env import drive, mirrored_transitions
 from .errors import (InconsistentConfig, InsufficientData, InvalidArgument, NonFiniteState,
                      ShapeMismatch)
 from .pattern import PatternPerturbation, StimulationPattern, pattern_control
@@ -39,7 +39,7 @@ class RealityGapConfig:
     seed: int = 0
 
 
-_GAP_FIELDS = ("t_max_range", "q_opt_shift_deg", "resistance_scale", "seed")
+_GAP_FIELDS = tuple(f.name for f in fields(RealityGapConfig))
 
 
 def gap_from_dict(data: dict) -> RealityGapConfig:
@@ -75,10 +75,7 @@ def apply_reality_gap(config: CyclingConfig, muscles, gap: RealityGapConfig):
 
 
 def config_fingerprint(config: CyclingConfig, muscles) -> str:
-    blob = biomech.config_to_json(config) + json.dumps(
-        [[m.name, m.t_max, m.activation_tau, m.hip_share, m.hip_opt, m.hip_width,
-          m.knee_share, m.knee_opt, m.knee_width] for m in muscles]
-    )
+    blob = biomech.config_to_json(config) + json.dumps([astuple(m) for m in muscles])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -130,8 +127,8 @@ def _describe(pert: PatternPerturbation | None) -> str:
     return f"{pert.kind}{pert.magnitude_deg:+g}:{target}"
 
 
-def _run_drives(drive, jobs) -> list:
-    """[drive(job) for job in jobs], with the jobs side by side in forked
+def _run_drives(jobs) -> list:
+    """[_drive(job) for job in jobs], with the jobs side by side in forked
     worker processes when more than one CPU is usable.
 
     One worker per usable CPU (os.sched_getaffinity; one where the platform
@@ -144,7 +141,7 @@ def _run_drives(drive, jobs) -> list:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(jobs), cpus)
     if workers < 2:
-        return [drive(job) for job in jobs]
+        return [_drive(job) for job in jobs]
     # imported here: they cost about 20 ms, which one-drive commands skip
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -155,18 +152,23 @@ def _run_drives(drive, jobs) -> list:
     # waiting on a lock
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(drive, jobs))
+        return list(pool.map(_drive, jobs))
     finally:
         pool.shutdown(cancel_futures=True)
 
 
 ASSIST_CADENCE = 3.0  # rad/s handed to the crank at session start (the push a
                       # helper or motor gives before stimulation takes over)
+MAX_START_CADENCE = 4.0 * math.pi  # rad/s (120 RPM)
 
 
-def _drive_steps(duration_s: float, dt: float) -> int:
+def _drive_steps(duration_s: float, dt: float, start_cadence: float) -> int:
     """Control steps in a drive of duration_s; InvalidArgument unless the
-    duration is finite and holds at least one step."""
+    duration is finite and holds at least one step and the starting push
+    lies in [0, MAX_START_CADENCE]."""
+    if not 0.0 <= start_cadence <= MAX_START_CADENCE:
+        raise InvalidArgument(f"start cadence {start_cadence:g} rad/s must lie in "
+                              f"[0, {MAX_START_CADENCE:g}] rad/s (0-120 RPM)")
     steps = duration_s / dt
     if not (math.isfinite(steps) and round(steps) >= 1):
         raise InvalidArgument(f"duration {duration_s:g} s must be finite and hold at least "
@@ -179,26 +181,14 @@ def _drive(job):
     starting push `start_cadence`: the steps + 1 rows of time, crank angle,
     cadence and control that a SessionLog holds."""
     config, muscles, pat, start_angle, start_cadence, steps, dt = job
+
+    def control(state):
+        return np.concatenate([pattern_control(pat, state.crank_angle, RIGHT),
+                               pattern_control(pat, state.crank_angle, LEFT)])
+
     state = replace(biomech.initial_state(config, start_angle), cadence=start_cadence)
-    times = np.empty(steps + 1)
-    angles = np.empty(steps + 1)
-    cadences = np.empty(steps + 1)
-    controls = np.empty((steps + 1, 2 * config.n_muscles_per_leg))
-
-    def record(i, st):
-        times[i] = st.sim_time
-        angles[i] = st.crank_angle
-        cadences[i] = st.cadence
-        controls[i] = np.concatenate([
-            pattern_control(pat, st.crank_angle, RIGHT),
-            pattern_control(pat, st.crank_angle, LEFT),
-        ])
-
-    record(0, state)
-    for i in range(1, steps + 1):
-        state = biomech.sim_step(config, muscles, state, controls[i - 1], dt)
-        record(i, state)
-    return times, angles, cadences, controls
+    state, times, angles, cadences, controls = drive(config, muscles, state, steps, dt, control)
+    return times, angles, cadences, np.vstack([controls, control(state)])
 
 
 def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPattern,
@@ -217,7 +207,7 @@ def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPa
     if not 1 <= n_sessions <= len(SESSION_SCHEDULE):
         raise InvalidArgument(f"n_sessions must lie in 1..{len(SESSION_SCHEDULE)}, "
                               f"got {n_sessions}")
-    steps = _drive_steps(duration_s, dt)
+    steps = _drive_steps(duration_s, dt, start_cadence)
     rng = np.random.default_rng(seed)
     fingerprint = config_fingerprint(config, muscles)
     perts = SESSION_SCHEDULE[:n_sessions]
@@ -238,7 +228,7 @@ def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPa
             controls=controls,
         )
         for k, (pert, (times, angles, cadences, controls))
-        in enumerate(zip(perts, _run_drives(_drive, jobs)))
+        in enumerate(zip(perts, _run_drives(jobs)))
     ]
 
 
@@ -305,7 +295,7 @@ def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
     """
     if n_trials < 1:
         raise InvalidArgument(f"n_trials must be >= 1, got {n_trials}")
-    steps = _drive_steps(duration_s, dt)
+    steps = _drive_steps(duration_s, dt, start_cadence)
     skip = round(transient_s / dt)
     if steps <= skip:
         raise InvalidArgument(f"duration {duration_s:g} s leaves no step after the "
@@ -314,7 +304,7 @@ def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
              float(np.random.default_rng([seed, trial]).uniform(0.0, biomech.TWO_PI)),
              start_cadence, steps, dt)
             for trial in range(n_trials)]
-    traces = [cadences[1:] * RPM_PER_RAD_S for _, _, cadences, _ in _run_drives(_drive, jobs)]
+    traces = [cadences[1:] * RPM_PER_RAD_S for _, _, cadences, _ in _run_drives(jobs)]
     trials = [
         {
             "start_seed": [seed, trial],

@@ -5,7 +5,13 @@ to those functions cannot silently break every traced benchmark job.
 
 ReplayBuffer subclasses OfflineDataset and inherits its sample, so the
 tracer, which wraps sample on both classes, must count each batch once and
-leave neither class wrapped after uninstall."""
+leave neither class wrapped after uninstall.
+
+Training episodes and pattern sessions step the plant through one loop,
+env.drive, which calls biomech.sim_step and, for a session,
+offline.pattern_control through their module attributes; a loop that
+imported either name directly would bypass the tracer, so the traced counts
+must match the plant's own counter and the session's length."""
 
 from pathlib import Path
 
@@ -24,6 +30,7 @@ def test_traced_train_and_finetune_record_no_errors(nominal_2m, monkeypatch):
 
     tracer = spans.Tracer()
     tracer.install(fescycle)
+    steps_before = bm.sim_step_count()
     try:
         env = CyclingEnv(nominal_2m, episode=EpisodeConfig(seed=1))
         tc = sac.TrainConfig(seed=1, batch=64, grad_steps_per_episode=3)
@@ -38,6 +45,7 @@ def test_traced_train_and_finetune_record_no_errors(nominal_2m, monkeypatch):
                              cql_num_samples=4)
         agent.reconfigure(ft)
         offline.finetune(agent, dataset, ft, epochs=1)
+        steps = bm.sim_step_count() - steps_before
     finally:
         tracer.uninstall()
     assert dict(tracer.errors) == {}
@@ -49,3 +57,7 @@ def test_traced_train_and_finetune_record_no_errors(nominal_2m, monkeypatch):
     assert tracer.count["sac.update.steps"] == 6
     assert not hasattr(sac.ReplayBuffer.sample, "__wrapped__")
     assert not hasattr(offline.OfflineDataset.sample, "__wrapped__")
+    # one 100-step episode and one 80-step session, which runs in this process
+    assert tracer.calls["biomech.sim_step"] == steps == 100 + 80
+    # both legs at each of the session's 81 logged rows
+    assert tracer.calls["pattern.control"] == 2 * (80 + 1)

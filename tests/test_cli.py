@@ -409,6 +409,8 @@ class TestTrain:
         ("collect", ["--sessions", "-1"]),
         ("collect", ["--sessions", "0"]),
         ("collect", ["--sessions", "11"]),
+        *((command, ["--start-cadence", value]) for command in ("collect", "evaluate")
+          for value in ("1e308", "-50", "nan", "inf")),
         ("finetune", ["--epochs", "0"]),
         ("finetune", ["--epochs", "-3"]),
     ], ids=lambda v: v if isinstance(v, str) else "=".join(v))

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fescycle import biomech as bm
-from fescycle.env import (DISCOUNT, CyclingEnv, EpisodeConfig, make_observation,
-                          mirrored_transitions, reward)
+from fescycle.env import DISCOUNT, CyclingEnv, EpisodeConfig, drive, make_observation, reward
 
 # chi-square 99th percentile, 35 degrees of freedom
 CHI2_CRIT_35_P01 = 57.342
@@ -67,29 +66,42 @@ class TestReward:
         assert diff == pytest.approx(beta * (np.sum(b * b) - np.sum(a * a)), abs=1e-9)
 
 
+def first_obs(config, seed):
+    """The first observation the policy of a fresh env's first episode sees."""
+    seen = []
+
+    def policy(obs):
+        seen.append(obs)
+        return np.zeros(2)
+
+    make_env(config, seed=seed, steps=1).rollout(policy)
+    return seen[0]
+
+
 class TestReset:
     def test_fixed_seed_reproduces_start(self, nominal_2m):
-        env1 = make_env(nominal_2m, seed=17)
-        env2 = make_env(nominal_2m, seed=17)
-        s1, o1 = env1.reset()
-        s2, o2 = env2.reset()
+        s1 = make_env(nominal_2m, seed=17).reset()
+        s2 = make_env(nominal_2m, seed=17).reset()
+        o1 = first_obs(nominal_2m, 17)
+        o2 = first_obs(nominal_2m, 17)
         assert s1 == s2
         np.testing.assert_array_equal(o1, o2)
 
     def test_initial_cadence_and_activations_zero(self, nominal_2m):
-        env = make_env(nominal_2m, seed=3)
-        state, obs = env.reset()
+        state = make_env(nominal_2m, seed=3).reset()
+        obs = first_obs(nominal_2m, 3)
         assert state.cadence == 0.0
         assert obs[2] == 0.0
         assert state.activations == (0.0,) * 4
         np.testing.assert_array_equal(obs[3:], 0.0)
+        assert obs.tobytes() == make_observation(state, np.zeros(2), bm.RIGHT).tobytes()
 
     def test_start_angles_uniform(self, nominal_2m):
         env = make_env(nominal_2m, seed=2024)
         n, bins = 10_000, 36
         counts = np.zeros(bins)
         for _ in range(n):
-            state, _ = env.reset()
+            state = env.reset()
             assert 0.0 <= state.crank_angle < 2.0 * math.pi
             counts[int(state.crank_angle / (2.0 * math.pi) * bins)] += 1
         expected = n / bins
@@ -97,38 +109,59 @@ class TestReset:
         assert chi2 < CHI2_CRIT_35_P01
 
 
-def one_step(env, a_r, a_l):
-    """Transitions of one env.step from the current state."""
-    before = env.state
-    after = env.step(a_r, a_l)
-    return mirrored_transitions(
-        [before.crank_angle, after.crank_angle], [before.cadence, after.cadence],
-        [np.concatenate([a_r, a_l])], env.episode.beta,
-    ), after
+def one_step(config, seed, a_r, a_l):
+    """Transitions of a one-step episode whose policy answers a_r for the
+    right leg and a_l for the left, and the plant state after that step."""
+    env = make_env(config, seed=seed, steps=1)
+    legs = iter([a_r, a_l])
+    _, transitions = env.rollout(lambda obs: next(legs))
+    start = make_env(config, seed=seed).reset()
+    after = bm.sim_step(config, env.muscles, start, np.concatenate([a_r, a_l]), env.episode.dt)
+    return transitions, after
+
+
+class TestDrive:
+    def test_rows_follow_the_sim_step_chain(self, nominal_3m):
+        """drive queries control once per step with the state before it and
+        records that state chain as sim_step builds it."""
+        muscles = bm.default_muscle_set(nominal_3m)
+        start = bm.SimState(1.0, 2.5, (0.0,) * 6, 0.0)
+        rng = np.random.default_rng(4)
+        rows = rng.uniform(0.0, 1.0, (12, 6))
+        seen = []
+
+        def control(state):
+            seen.append(state)
+            return rows[len(seen) - 1]
+
+        final, times, angles, cadences, controls = drive(nominal_3m, muscles, start, 12, 0.05,
+                                                         control)
+        states = [start]
+        for row in rows:
+            states.append(bm.sim_step(nominal_3m, muscles, states[-1], row, 0.05))
+        assert seen == states[:-1]
+        assert final == states[-1]
+        assert controls.tobytes() == rows.tobytes()
+        for got, field in ((times, "sim_time"), (angles, "crank_angle"), (cadences, "cadence")):
+            assert got.tobytes() == np.array([getattr(s, field) for s in states]).tobytes()
 
 
 class TestEnvStep:
     def test_zero_actions_from_rest_give_zero_rewards(self, nominal_2m):
-        env = make_env(nominal_2m, seed=5)
-        env.reset()
-        (_, _, rew, _), _ = one_step(env, np.zeros(2), np.zeros(2))
+        (_, _, rew, _), _ = one_step(nominal_2m, 5, np.zeros(2), np.zeros(2))
         np.testing.assert_array_equal(rew, [0.0, 0.0])
 
     def test_reward_split_between_legs(self, nominal_2m):
-        env = make_env(nominal_2m, seed=5)
-        env.reset()
         a_r = np.array([0.9, 0.1])
         a_l = np.array([0.2, 0.5])
-        (_, _, rew, _), _ = one_step(env, a_r, a_l)
+        (_, _, rew, _), _ = one_step(nominal_2m, 5, a_r, a_l)
         want = 1.0 * (np.sum(a_l**2) - np.sum(a_r**2))
         assert rew[0] - rew[1] == pytest.approx(want, abs=1e-12)
 
     def test_mirrored_tuple_structure(self, nominal_2m):
-        env = make_env(nominal_2m, seed=8)
-        env.reset()
         a_r = np.array([0.7, 0.2])
         a_l = np.array([0.1, 0.8])
-        (obs, act, _, next_obs), state = one_step(env, a_r, a_l)
+        (obs, act, _, next_obs), state = one_step(nominal_2m, 8, a_r, a_l)
         np.testing.assert_allclose(obs[1, :2], -obs[0, :2], atol=1e-12)
         assert obs[1, 2] == obs[0, 2]
         np.testing.assert_array_equal(act[0], a_r)
@@ -148,20 +181,26 @@ class TestEnvStep:
     @pytest.mark.parametrize("n", [2, 3])
     def test_rows_match_scalar_reference(self, n, nominal_2m, nominal_3m):
         """Each row is byte-equal to make_observation and reward applied to
-        that step and leg, the previous action chaining through the steps."""
-        env = make_env(nominal_2m if n == 2 else nominal_3m, seed=3, steps=40)
-        env.reset()
+        that step and leg, the previous action chaining through the steps,
+        with the policy's out-of-range actions clipped to [0, 1]."""
+        config = nominal_2m if n == 2 else nominal_3m
+        env = make_env(config, seed=3, steps=40, beta=0.7)
         rng = np.random.default_rng(1)
-        states = [env.state]
-        acts = []
-        for _ in range(40):
-            a_r, a_l = rng.uniform(-0.2, 1.2, n), rng.uniform(-0.2, 1.2, n)
-            states.append(env.step(a_r, a_l))
-            acts.append((np.clip(a_r, 0.0, 1.0), np.clip(a_l, 0.0, 1.0)))
-        obs, act, rew, next_obs = mirrored_transitions(
-            [s.crank_angle for s in states], [s.cadence for s in states],
-            [np.concatenate(a) for a in acts], 0.7,
-        )
+        answers = []
+
+        def policy(obs):
+            answers.append(rng.uniform(-0.2, 1.2, n))
+            return answers[-1]
+
+        _, (obs, act, rew, next_obs) = env.rollout(policy)
+        acts = [(np.clip(a_r, 0.0, 1.0), np.clip(a_l, 0.0, 1.0))
+                for a_r, a_l in zip(answers[0::2], answers[1::2])]
+        assert len(acts) == 40
+        # the reference: the scalar plant from the same start
+        states = [make_env(config, seed=3).reset()]
+        for legs in acts:
+            states.append(bm.sim_step(config, env.muscles, states[-1], np.concatenate(legs),
+                                      env.episode.dt))
         prev = (np.zeros(n), np.zeros(n))
         for t, (before, after, legs) in enumerate(zip(states, states[1:], acts)):
             for leg, side in enumerate((bm.RIGHT, bm.LEFT)):

@@ -3,14 +3,14 @@ import math
 import multiprocessing
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fescycle import biomech as bm
 from fescycle import offline, sac, training
-from fescycle.env import CyclingEnv, EpisodeConfig, reward
+from fescycle.env import CyclingEnv, EpisodeConfig, drive, reward
 from fescycle.errors import InconsistentConfig, InsufficientData, NonFiniteState, ShapeMismatch
 from fescycle.pattern import StimulationPattern, empty_pattern
 
@@ -57,6 +57,21 @@ class TestRealityGap:
     def test_unknown_gap_keys_rejected(self):
         with pytest.raises(ValueError, match="strength"):
             offline.gap_from_dict({"strength": 2.0})
+
+
+class TestConfigFingerprint:
+    def test_nominal_three_muscle_value_pinned(self, nominal_3m):
+        muscles = bm.default_muscle_set(nominal_3m)
+        assert offline.config_fingerprint(nominal_3m, muscles) == "dfc41f4adce8bb2a"
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(bm.MuscleParams)])
+    def test_every_muscle_field_changes_it(self, nominal_3m, field):
+        muscles = bm.default_muscle_set(nominal_3m)
+        value = getattr(muscles[0], field)
+        changed = replace(muscles[0],
+                          **{field: value + "x" if isinstance(value, str) else value + 0.25})
+        assert (offline.config_fingerprint(nominal_3m, (changed, *muscles[1:]))
+                != offline.config_fingerprint(nominal_3m, muscles))
 
 
 class TestCollectSessions:
@@ -194,16 +209,15 @@ class TestLogsToDataset:
         training.train_agent(CyclingEnv(nominal_2m, episode=episode), tc, max_episodes=1)
         (rows,) = written
         act = rows[1]
-        # replay the episode's plant on a fresh env of the same seed
+        # replay the episode's plant from a fresh env's start state
         env = CyclingEnv(nominal_2m, episode=episode)
-        env.reset()
-        states = [env.state] + [env.step(a_r, a_l) for a_r, a_l in zip(act[0::2], act[1::2])]
         controls = np.hstack([act[0::2], act[1::2]])
+        replay = iter(controls)
+        _, times, angles, cadences, _ = drive(nominal_2m, env.muscles, env.reset(), len(controls),
+                                              episode.dt, lambda state: next(replay))
         log = offline.SessionLog(
             pattern_id="online", config_hash="sim", dt=episode.dt,
-            times=episode.dt * np.arange(len(states)),
-            crank_angles=np.array([s.crank_angle for s in states]),
-            cadences=np.array([s.cadence for s in states]),
+            times=times, crank_angles=angles, cadences=cadences,
             controls=np.vstack([controls, controls[-1:]]),
         )
         data = offline.logs_to_dataset([log], beta=episode.beta)
