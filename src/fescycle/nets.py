@@ -19,7 +19,10 @@ import math
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import NonFiniteState, ShapeMismatch
+
+# the keys of Adam.to_state, in the order it writes them
+ADAM_STATE_KEYS = ("lr", "beta1", "beta2", "eps", "t", "m", "v")
 
 
 def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -32,6 +35,21 @@ def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
     if start != flat.size:
         raise ShapeMismatch(f"{flat.size} values do not split into shapes {list(shapes)}")
     return views
+
+
+def fill_from_doc(view: np.ndarray, values, what: str) -> None:
+    """Copy the JSON array `values` into `view`; ShapeMismatch unless it
+    holds view.size numbers, NonFiniteState on a NaN or infinite one.
+    `what` names the array in the error."""
+    try:
+        values = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    if values.size != view.size:
+        raise ShapeMismatch(f"{what} has {values.size} values, expected {view.size}")
+    if not np.isfinite(values).all():
+        raise NonFiniteState(f"{what} has a non-finite value")
+    view[...] = values.reshape(view.shape)
 
 
 def _buffer(store: dict | None, key, shape, dtype, fill=None) -> np.ndarray:
@@ -220,7 +238,8 @@ class Adam:
     @classmethod
     def from_state(cls, state: dict, shapes, name: str) -> "Adam":
         """The optimizer `name` of a checkpoint; ShapeMismatch unless each
-        moment lists one array of the right size per shape."""
+        moment lists one array of the right size per shape, NonFiniteState
+        on a NaN or infinite moment."""
         opt = cls(shapes, state["lr"], state["beta1"], state["beta2"], state["eps"])
         opt.t = state["t"]
         for key, moment in (("m", opt.m), ("v", opt.v)):
@@ -229,9 +248,5 @@ class Adam:
                 raise ShapeMismatch(f"optimizer {name}: moment {key} has {len(arrays)} "
                                     f"arrays, expected {len(opt.shapes)}")
             for k, (view, values) in enumerate(zip(split(moment, opt.shapes), arrays)):
-                values = np.array(values, dtype=float)
-                if values.size != view.size:
-                    raise ShapeMismatch(f"optimizer {name}: moment {key} array {k} has "
-                                        f"{values.size} values, expected {view.size}")
-                view[...] = values.reshape(view.shape)
+                fill_from_doc(view, values, f"optimizer {name}: moment {key} array {k}")
         return opt

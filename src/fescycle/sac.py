@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientData, NonFiniteState, ShapeMismatch
-from .nets import Adam, Mlp
+from .nets import ADAM_STATE_KEYS, Adam, Mlp, fill_from_doc
 
 HIDDEN = (64, 64)
 LOG_STD_MIN = -5.0
@@ -484,8 +484,11 @@ def _net_to_doc(net: Mlp) -> dict:
 
 def _net_from_doc(doc: dict, name: str, n_in: int, n_out: int) -> Mlp:
     """The checkpoint's net `name`; ShapeMismatch unless it maps n_in inputs
-    to n_out outputs and every parameter array has its layer's size."""
+    to n_out outputs and every parameter array has its layer's size,
+    NonFiniteState on a NaN or infinite parameter."""
     sizes = doc["layer_sizes"]
+    if not all(type(n) is int and n > 0 for n in sizes):
+        raise ShapeMismatch(f"net {name}: layer sizes {sizes} are not positive integers")
     if len(sizes) < 2 or sizes[0] != n_in or sizes[-1] != n_out:
         raise ShapeMismatch(f"net {name}: layer sizes {sizes} do not map "
                             f"{n_in} inputs to {n_out} outputs")
@@ -494,16 +497,38 @@ def _net_from_doc(doc: dict, name: str, n_in: int, n_out: int) -> Mlp:
         raise ShapeMismatch(f"net {name}: {len(doc['params'])} parameter arrays, "
                             f"expected {len(net.params)}")
     for k, (view, values) in enumerate(zip(net.params, doc["params"])):
-        values = np.array(values, dtype=float)
-        if values.size != view.size:
-            raise ShapeMismatch(f"net {name}: parameter array {k} has {values.size} "
-                                f"values, expected {view.size}")
-        view[...] = values.reshape(view.shape)
+        fill_from_doc(view, values, f"net {name}: parameter array {k}")
     return net
 
 
-def agent_to_json(agent: SacAgent) -> str:
-    doc = {
+# the keys of a fescycle-agent-v1 checkpoint below "format"; None marks a leaf
+_CHECKPOINT_KEYS = {
+    "obs_dim": None,
+    "n_actions": None,
+    "train_config": dict.fromkeys(_TRAIN_FIELDS),
+    "log_alpha": None,
+    "nets": {name: dict.fromkeys(("layer_sizes", "params"))
+             for name in ("actor", "q1", "q2", "q1_target", "q2_target")},
+    "optimizers": {name: dict.fromkeys(ADAM_STATE_KEYS)
+                   for name in ("actor", "q1", "q2", "alpha")},
+}
+
+
+def _missing_key(doc: dict, keys: dict, prefix: str = "") -> str | None:
+    """Dotted name of the first key in `keys` that `doc` lacks, or None."""
+    for key, below in keys.items():
+        if key not in doc:
+            return prefix + key
+        if below is not None:
+            missing = _missing_key(doc[key], below, f"{prefix}{key}.")
+            if missing:
+                return missing
+    return None
+
+
+def _agent_doc(agent: SacAgent) -> dict:
+    """The fescycle-agent-v1 document of `agent`, as both writers encode it."""
+    return {
         "format": "fescycle-agent-v1",
         "obs_dim": agent.obs_dim,
         "n_actions": agent.n_actions,
@@ -523,13 +548,27 @@ def agent_to_json(agent: SacAgent) -> str:
             "alpha": agent.opt_alpha.to_state(),
         },
     }
-    return json.dumps(doc, indent=1) + "\n"
 
 
-def agent_from_json(text: str) -> SacAgent:
+def agent_to_json(agent: SacAgent) -> str:
+    return json.dumps(_agent_doc(agent), indent=1) + "\n"
+
+
+def agent_from_json(text: str, source: str = "<string>") -> SacAgent:
+    """The agent a checkpoint's text holds.
+
+    ValueError, naming `source` and the dotted key, when a key is missing;
+    ShapeMismatch when a net or moment does not fit the agent's dimensions;
+    NonFiniteState, naming the net or optimizer and the array, on a NaN or
+    infinite parameter, Adam moment or log_alpha.
+    """
     doc = json.loads(text)
-    if doc.get("format") != "fescycle-agent-v1":
-        raise ValueError(f"not an agent checkpoint: format={doc.get('format')!r}")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != "fescycle-agent-v1":
+        raise ValueError(f"not an agent checkpoint: format={fmt!r}")
+    missing = _missing_key(doc, _CHECKPOINT_KEYS)
+    if missing:
+        raise ValueError(f"{source}: checkpoint lacks key {missing!r}")
     tc = train_config_from_dict(doc["train_config"])
     obs_dim, n_actions = doc["obs_dim"], doc["n_actions"]
     agent = SacAgent(obs_dim, n_actions, tc)
@@ -537,7 +576,7 @@ def agent_from_json(text: str) -> SacAgent:
     agent.actor.trunk = _net_from_doc(nets["actor"], "actor", obs_dim, 2 * n_actions)
     for name in ("q1", "q2", "q1_target", "q2_target"):
         setattr(agent, name, _net_from_doc(nets[name], name, obs_dim + n_actions, 1))
-    agent.log_alpha = np.array([doc["log_alpha"]])
+    fill_from_doc(agent.log_alpha, [doc["log_alpha"]], "log_alpha")
     for name, shapes in (("actor", agent.actor.trunk.shapes), ("q1", agent.q1.shapes),
                          ("q2", agent.q2.shapes), ("alpha", [agent.log_alpha.shape])):
         setattr(agent, f"opt_{name}", Adam.from_state(doc["optimizers"][name], shapes, name))
@@ -561,10 +600,13 @@ def clone_agent(agent: SacAgent) -> SacAgent:
 
 
 def save_agent(agent: SacAgent, path) -> None:
+    """Write agent_to_json(agent) to `path`, streaming the encoder's chunks
+    into the file so the whole text is never held in memory."""
     with open(path, "w") as fh:
-        fh.write(agent_to_json(agent))
+        json.dump(_agent_doc(agent), fh, indent=1)
+        fh.write("\n")
 
 
 def load_agent(path) -> SacAgent:
     with open(path) as fh:
-        return agent_from_json(fh.read())
+        return agent_from_json(fh.read(), str(path))

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fescycle import biomech as bm
 from fescycle import cli, offline, sac
@@ -123,6 +130,111 @@ class TestExtract:
         assert err["error"] == "ShapeMismatch"
         assert err["message"] == message
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["nets"]["actor"]["params"][0][0].__setitem__(0, math.nan),
+         "net actor: parameter array 0 has a non-finite value"),
+        (lambda doc: doc["optimizers"]["q1"]["m"][1].__setitem__(3, math.inf),
+         "optimizer q1: moment m array 1 has a non-finite value"),
+        (lambda doc: doc.update(log_alpha=math.nan), "log_alpha has a non-finite value"),
+    ])
+    def test_checkpoint_non_finite_value_is_domain_error(self, tmp_path, config_path, capsys,
+                                                         edit, message):
+        doc = json.loads(sac.agent_to_json(constant_agent()))
+        edit(doc)
+        agent_path = tmp_path / "agent.json"
+        agent_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.json"
+        rc = cli.main(["extract", str(agent_path), str(config_path), "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "NonFiniteState", "message": message}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["log_alpha", "optimizers", "train_config",
+                                     "nets.q2_target"])
+    def test_checkpoint_missing_key_is_bad_input(self, tmp_path, config_path, capsys, key):
+        doc = json.loads(sac.agent_to_json(constant_agent()))
+        *parents, last = key.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        del node[last]
+        agent_path = tmp_path / "agent.json"
+        agent_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.json"
+        rc = cli.main(["extract", str(agent_path), str(config_path), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "bad_input",
+                       "message": f"{agent_path}: checkpoint lacks key {key!r}"}
+        assert not out.exists()
+
+
+def _json_paths(node, path=()):
+    """(key paths, array paths): the path to every object key and every
+    array below `node`."""
+    keys, arrays = [], []
+    if isinstance(node, dict):
+        keys += [path + (name,) for name in node]
+        children = node.items()
+    elif isinstance(node, list):
+        arrays.append(path)
+        children = enumerate(node)
+    else:
+        return keys, arrays
+    for name, child in children:
+        sub_keys, sub_arrays = _json_paths(child, path + (name,))
+        keys += sub_keys
+        arrays += sub_arrays
+    return keys, arrays
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint():
+    """The text of a saved checkpoint and its (key paths, array paths)."""
+    text = sac.agent_to_json(constant_agent())
+    return text, *_json_paths(json.loads(text))
+
+
+class TestCorruptCheckpointFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_extract_fails_cleanly(self, nominal_2m, saved_checkpoint, data):
+        """Drop a key, plant a NaN or infinity in an array, or drop an array
+        value: extract exits 1 or 2 with a JSON error and writes nothing."""
+        text, key_paths, array_paths = saved_checkpoint
+        doc = json.loads(text)
+        kind = data.draw(st.sampled_from(["drop_key", "non_finite", "drop_value"]))
+        *parents, last = data.draw(st.sampled_from(key_paths if kind == "drop_key"
+                                                   else array_paths))
+        node = doc
+        for name in parents:
+            node = node[name]
+        if kind == "drop_key":
+            del node[last]
+        else:
+            array = node[last]
+            index = data.draw(st.integers(0, len(array) - 1))
+            if kind == "non_finite":
+                array[index] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            else:
+                del array[index]
+        with tempfile.TemporaryDirectory() as tmp:
+            agent_path, config_path = Path(tmp, "agent.json"), Path(tmp, "config.json")
+            out = Path(tmp, "p.json")
+            agent_path.write_text(json.dumps(doc))
+            config_path.write_text(bm.config_to_json(nominal_2m))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["extract", str(agent_path), str(config_path),
+                               "--out", str(out)])
+            assert rc in (1, 2)
+            err = json.loads(stderr.getvalue())
+            assert set(err) >= {"error", "message"}
+            assert "Traceback" not in stderr.getvalue()
+            assert not out.exists()
 
 
 class TestCollectFinetuneEvaluate:

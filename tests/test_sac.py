@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import finite_difference, vector_rel_err
 from fescycle import sac
+from fescycle.nets import ADAM_STATE_KEYS
 from fescycle.errors import InsufficientData, NonFiniteState
 
 KS_CRIT_P01 = 1.62762  # Kolmogorov critical value at alpha = 0.01, large n
@@ -623,3 +625,67 @@ class TestCheckpoint:
     def test_rejects_non_checkpoint(self):
         with pytest.raises(ValueError):
             sac.agent_from_json(json.dumps({"format": "something-else"}))
+
+    def test_rejects_json_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match="^not an agent checkpoint: format=None$"):
+            sac.agent_from_json("[1.0, 2.0]")
+
+    def _trained_agent(self, n_actions):
+        obs_dim = 3 + n_actions
+        agent, tc = make_agent(obs_dim=obs_dim, n_actions=n_actions)
+        buf = TestSacUpdate()._filled_buffer(np.random.default_rng(0), obs_dim, n_actions)
+        sac.sac_update(agent, buf, tc, n_steps=3)
+        assert agent.opt_q1.t == 3 and np.any(agent.opt_q1.m != 0.0)
+        return agent
+
+    @pytest.mark.parametrize("n_actions", [2, 3])
+    def test_save_agent_writes_agent_to_json_bytes(self, tmp_path, n_actions):
+        agent = self._trained_agent(n_actions)
+        path = tmp_path / "agent.json"
+        sac.save_agent(agent, path)
+        assert path.read_bytes() == sac.agent_to_json(agent).encode()
+
+    def test_save_agent_memory_stays_below_twice_the_file(self, tmp_path):
+        """The writer streams: its traced peak is the document, not the text
+        on top of it (the text alone is as large as the file)."""
+        agent = self._trained_agent(2)
+        path = tmp_path / "agent.json"
+        tracemalloc.start()
+        try:
+            sac.save_agent(agent, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
+
+    def test_adam_state_keys_are_what_to_state_writes(self):
+        agent, _ = make_agent()
+        assert tuple(agent.opt_q1.to_state()) == ADAM_STATE_KEYS
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["nets"]["actor"]["params"][0][2].__setitem__(5, math.nan),
+         "net actor: parameter array 0 has a non-finite value"),
+        (lambda doc: doc["nets"]["q1_target"]["params"][5].__setitem__(0, -math.inf),
+         "net q1_target: parameter array 5 has a non-finite value"),
+        (lambda doc: doc["optimizers"]["q2"]["v"][1].__setitem__(7, math.inf),
+         "optimizer q2: moment v array 1 has a non-finite value"),
+        (lambda doc: doc.update(log_alpha=math.nan), "log_alpha has a non-finite value"),
+    ])
+    def test_non_finite_value_rejected(self, edit, message):
+        doc = json.loads(sac.agent_to_json(self._trained_agent(2)))
+        edit(doc)
+        with pytest.raises(NonFiniteState, match=f"^{message}$"):
+            sac.agent_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["obs_dim", "log_alpha", "train_config.gamma",
+                                     "nets.q2_target", "nets.actor.layer_sizes",
+                                     "optimizers", "optimizers.alpha.t"])
+    def test_missing_key_named(self, key):
+        doc = json.loads(sac.agent_to_json(make_agent()[0]))
+        *parents, last = key.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        del node[last]
+        with pytest.raises(ValueError, match=f"^ckpt.json: checkpoint lacks key '{key}'$"):
+            sac.agent_from_json(json.dumps(doc), "ckpt.json")
