@@ -16,6 +16,7 @@ per-call temporaries again on every step.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -23,6 +24,24 @@ from .errors import NonFiniteState, ShapeMismatch
 
 # the keys of Adam.to_state, in the order it writes them
 ADAM_STATE_KEYS = ("lr", "beta1", "beta2", "eps", "t", "m", "v")
+
+
+def _positive(v) -> bool:
+    return type(v) in (int, float) and 0 < v <= sys.float_info.max
+
+
+def _unit_interval(v) -> bool:
+    return type(v) in (int, float) and 0 <= v < 1
+
+
+# Adam.from_state's rule for each scalar of a saved state
+_ADAM_SCALAR_RULES = (
+    ("lr", "a finite number > 0", _positive),
+    ("beta1", "a finite number in [0, 1)", _unit_interval),
+    ("beta2", "a finite number in [0, 1)", _unit_interval),
+    ("eps", "a finite number > 0", _positive),
+    ("t", "a non-negative integer", lambda v: type(v) is int and v >= 0),
+)
 
 
 def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -38,12 +57,13 @@ def split(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 def fill_from_doc(view: np.ndarray, values, what: str) -> None:
-    """Copy the JSON array `values` into `view`; ShapeMismatch unless it
-    holds view.size numbers, NonFiniteState on a NaN or infinite one.
-    `what` names the array in the error."""
+    """Copy the JSON array `values` (nested lists, or an array made from
+    them) into `view`; ShapeMismatch unless it holds view.size numbers,
+    NonFiniteState on a NaN or infinite one.  `what` names the array in the
+    error."""
     try:
-        values = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what}: {exc}") from None
     if values.size != view.size:
         raise ShapeMismatch(f"{what} has {values.size} values, expected {view.size}")
@@ -96,8 +116,11 @@ class Mlp:
 
         Hidden activations go to buffers this net keeps per (layer, rows), so
         a forward cache stays valid only until the next forward of this net
-        at the same row count.  backward's deltas, ReLU masks and ones vector
-        go to `scratch`, which nets of one dtype may share as long as their
+        at the same row count.  A forward with shared=True puts them in
+        `scratch` instead, under keys of their own, so its cache stays valid
+        only until the next shared forward at the same row count of any net
+        using that scratch.  backward's deltas, ReLU masks and ones vector go
+        to `scratch`, which nets of one dtype may share as long as their
         backward calls never nest.  Outputs and the parameter and input
         gradients are always fresh arrays, so callers may keep them.
         """
@@ -112,7 +135,9 @@ class Mlp:
         y, _ = self.forward_cached(x)
         return y
 
-    def forward_cached(self, x: np.ndarray):
+    def forward_cached(self, x: np.ndarray, shared: bool = False):
+        """Output and backward cache for input rows `x`; shared=True computes
+        the hidden activations into the shared scratch (see reuse_buffers)."""
         x = np.asarray(x, dtype=self.flat.dtype)
         squeeze = x.ndim == 1
         if squeeze:
@@ -124,12 +149,14 @@ class Mlp:
         # hidden activations are computed in place (ReLU over the
         # pre-activation buffer); a unit is active where its activation is
         # positive, so backward derives the ReLU masks from the cache
+        store = self.scratch if shared else self._acts
         rows = x.shape[0]
         h = x
         hiddens = [x]
         for i in range(self.n_layers - 1):
             w = self.params[2 * i]
-            z = np.matmul(h, w, out=_buffer(self._acts, (i, rows), (rows, w.shape[1]), w.dtype))
+            shape = (rows, w.shape[1])
+            z = np.matmul(h, w, out=_buffer(store, ("hidden", i, shape), shape, w.dtype))
             z += self.params[2 * i + 1]
             np.maximum(z, 0.0, out=z)
             h = z
@@ -225,21 +252,34 @@ class Adam:
         params -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
     def to_state(self) -> dict:
+        """The scalars, and the moments m and v as one view per shape (they
+        change when the optimizer steps)."""
         return {
             "lr": self.lr,
             "beta1": self.beta1,
             "beta2": self.beta2,
             "eps": self.eps,
             "t": self.t,
-            "m": [a.tolist() for a in split(self.m, self.shapes)],
-            "v": [a.tolist() for a in split(self.v, self.shapes)],
+            "m": split(self.m, self.shapes),
+            "v": split(self.v, self.shapes),
         }
 
     @classmethod
     def from_state(cls, state: dict, shapes, name: str) -> "Adam":
-        """The optimizer `name` of a checkpoint; ShapeMismatch unless each
-        moment lists one array of the right size per shape, NonFiniteState
-        on a NaN or infinite moment."""
+        """The optimizer `name` of a checkpoint.
+
+        ValueError unless lr and eps are numbers > 0, beta1 and beta2
+        numbers in [0, 1) and t an integer >= 0 (NonFiniteState where the
+        value is NaN or infinite); ShapeMismatch unless each moment lists one
+        array of the right size per shape, NonFiniteState on a NaN or
+        infinite moment.  Errors name the optimizer and the key.
+        """
+        for key, rule, valid in _ADAM_SCALAR_RULES:
+            value = state[key]
+            if not valid(value):
+                non_finite = type(value) is float and not math.isfinite(value)
+                raise (NonFiniteState if non_finite else ValueError)(
+                    f"optimizer {name}: {key} must be {rule}, got {value!r}")
         opt = cls(shapes, state["lr"], state["beta1"], state["beta2"], state["eps"])
         opt.t = state["t"]
         for key, moment in (("m", opt.m), ("v", opt.v)):

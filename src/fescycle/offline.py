@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
@@ -326,14 +327,14 @@ def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
 SIDECAR_KEYS = ("pattern_id", "config_hash", "dt", "rows")
 
 
+def _log_header(n_controls: int) -> list[str]:
+    return ["time_s", "crank_angle_rad", "cadence_rad_s"] + [f"u{i}" for i in range(n_controls)]
+
+
 def save_session_log(log: SessionLog, csv_path) -> None:
-    n2 = log.controls.shape[1]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["time_s", "crank_angle_rad", "cadence_rad_s"]
-            + [f"u{i}" for i in range(n2)]
-        )
+        writer.writerow(_log_header(log.controls.shape[1]))
         for i in range(len(log)):
             writer.writerow(
                 [f"{log.times[i]:.9g}", f"{log.crank_angles[i]:.9g}",
@@ -351,29 +352,95 @@ def save_session_log(log: SessionLog, csv_path) -> None:
         fh.write("\n")
 
 
+def _read_sidecar(path: str) -> dict:
+    """The sidecar at `path`, checked as load_session_log describes."""
+    with open(path) as fh:
+        try:
+            sidecar = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{path}: sidecar is not a JSON object")
+    missing = [key for key in SIDECAR_KEYS if key not in sidecar]
+    if missing:
+        raise ValueError(f"{path}: sidecar lacks key {', '.join(map(repr, missing))}")
+    for key in ("pattern_id", "config_hash"):
+        if type(sidecar[key]) is not str:
+            raise ValueError(f"{path}: sidecar {key} must be a string, got {sidecar[key]!r}")
+    dt, rows = sidecar["dt"], sidecar["rows"]
+    if not (type(dt) in (int, float) and 0 < dt <= sys.float_info.max):
+        non_finite = type(dt) is float and not math.isfinite(dt)
+        raise (NonFiniteState if non_finite else ValueError)(
+            f"{path}: sidecar dt must be a finite number > 0, got {dt!r}")
+    if not (type(rows) is int and rows >= 0):
+        raise ValueError(f"{path}: sidecar rows must be an integer >= 0, got {rows!r}")
+    return sidecar
+
+
+def _read_table(csv_path) -> tuple[np.ndarray, list[str]]:
+    """The rows below the header of the log CSV at `csv_path`, as one array,
+    and the header, checked as load_session_log describes."""
+    with open(csv_path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{csv_path}: the file is empty, with no header row")
+            n_controls = len(header) - 3
+            if n_controls < 2 or n_controls % 2 or header != _log_header(n_controls):
+                raise ValueError(
+                    f"{csv_path}: header {','.join(header)!r} is not time_s,crank_angle_rad,"
+                    f"cadence_rad_s followed by control columns u0,u1,..., as many for "
+                    f"each leg")
+            table = []
+            for k, row in enumerate(reader, 1):
+                if len(row) != len(header):
+                    raise ValueError(f"{csv_path}: row {k} has {len(row)} cells, "
+                                     f"the header has {len(header)}")
+                try:
+                    table.append([float(v) for v in row])
+                except ValueError:
+                    col = next(c for c, v in enumerate(row) if not _is_float(v))
+                    raise ValueError(f"{csv_path}: row {k}, column {header[col]}: "
+                                     f"{row[col]!r} is not a number") from None
+        except csv.Error as exc:
+            raise ValueError(f"{csv_path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{csv_path}: {exc}") from None
+    return np.array(table, dtype=float).reshape(-1, len(header)), header
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def load_session_log(csv_path) -> SessionLog:
     """Read a log written by save_session_log.
 
-    Raises ValueError, naming the sidecar and the key, when the sidecar lacks
-    one of SIDECAR_KEYS; ShapeMismatch when the CSV's row count differs from
-    the sidecar's; and NonFiniteState, naming the row and column, on any
-    non-finite value.
+    Raises ValueError, naming the sidecar, unless it is a JSON object with
+    every one of SIDECAR_KEYS, string pattern_id and config_hash, a number
+    dt > 0 and an integer rows >= 0 (NonFiniteState for a NaN or infinite
+    dt); ValueError, naming the CSV and the row where there is one, unless
+    its header is time_s, crank_angle_rad, cadence_rad_s and the control
+    columns u0, u1, ... (the same number for each leg) and every row holds
+    one number per header column; ShapeMismatch when the CSV's row count
+    differs from the sidecar's; InsufficientData when it holds no row; and
+    NonFiniteState, naming the row and column, on any non-finite value.
     """
-    with open(str(csv_path) + ".json") as fh:
-        sidecar = json.load(fh)
-    missing = [key for key in SIDECAR_KEYS if key not in sidecar]
-    if missing:
-        raise ValueError(f"{csv_path}.json: sidecar lacks key {', '.join(map(repr, missing))}")
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        table = np.array(
-            [[float(v) for v in row[: len(header)]] for row in reader]
-        ).reshape(-1, len(header))
+    sidecar = _read_sidecar(f"{csv_path}.json")
+    table, header = _read_table(csv_path)
     if len(table) != sidecar["rows"]:
         raise ShapeMismatch(
             f"{csv_path}: sidecar lists {sidecar['rows']} rows, the CSV has {len(table)}"
         )
+    if not len(table):
+        raise InsufficientData(f"{csv_path}: the log holds no rows")
     bad = np.argwhere(~np.isfinite(table))
     if len(bad):
         row, col = bad[0]

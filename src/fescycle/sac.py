@@ -243,8 +243,8 @@ class SacAgent:
         return action[0]
 
 
-def _q_forward(net: Mlp, obs: np.ndarray, act: np.ndarray):
-    value, cache = net.forward_cached(np.concatenate([obs, act], axis=-1))
+def _q_forward(net: Mlp, obs: np.ndarray, act: np.ndarray, shared: bool = False):
+    value, cache = net.forward_cached(np.concatenate([obs, act], axis=-1), shared=shared)
     return value[:, 0], cache
 
 
@@ -317,11 +317,13 @@ def cql_logsumexp(net: Mlp, obs: np.ndarray, actions: np.ndarray, log_dens: np.n
 
     actions: (B, N, n) with per-sample log proposal densities (B, N); returns
     (lse (B,), softmax weights (B, N), flat forward cache) so callers can
-    backpropagate.
+    backpropagate.  The pool pass computes into the scratch the working
+    critics share (Mlp.forward_cached(shared=True)), so the cache is spent
+    by the next pool pass of either critic.
     """
     bsize, n_samp, _ = actions.shape
     obs_rep = np.repeat(obs, n_samp, axis=0)
-    q_flat, cache = _q_forward(net, obs_rep, actions.reshape(bsize * n_samp, -1))
+    q_flat, cache = _q_forward(net, obs_rep, actions.reshape(bsize * n_samp, -1), shared=True)
     adjusted = q_flat.reshape(bsize, n_samp) - log_dens
     peak = adjusted.max(axis=1, keepdims=True)
     lse = peak[:, 0] + np.log(np.sum(np.exp(adjusted - peak), axis=1))
@@ -340,6 +342,10 @@ def cql_regularizer(agent: SacAgent, batch: dict, tc: TrainConfig,
     critic gradients come back.  q_data may pass in each critic's (values,
     forward cache) on the data actions, as critic_loss returns them for the
     same batch and parameters.  Returns (penalty, (grads_q1, grads_q2)).
+
+    The critics' pool passes share one set of activation buffers
+    (cql_logsumexp), so each critic's pool forward, log-sum-exp, finiteness
+    check and backward passes finish before the next critic's pool forward.
     """
     obs, act = batch["obs"], batch["act"]
     bsize = obs.shape[0]
@@ -371,14 +377,12 @@ def cql_regularizer(agent: SacAgent, batch: dict, tc: TrainConfig,
     if q_data is None:
         q_data = [_q_forward(net, obs, act) for net in nets]
     total = 0.0
-    pools = []
-    for net, (q, _) in zip(nets, q_data):
-        lse, weights, cache = cql_logsumexp(net, obs, pool, log_dens)
-        total += float(np.mean(lse - q))
-        pools.append((weights, cache))
-    _require_finite("cql", total)
     grads_out = []
-    for net, (weights, cache), (_, cache_data) in zip(nets, pools, q_data):
+    for net, (q, cache_data) in zip(nets, q_data):
+        lse, weights, cache = cql_logsumexp(net, obs, pool, log_dens)
+        term = float(np.mean(lse - q))
+        _require_finite("cql", term)
+        total += term
         g_pool, _ = net.backward(cache, (weights / bsize).reshape(-1, 1), input_grad=False)
         g_data, _ = net.backward(cache_data, np.full((bsize, 1), -1.0 / bsize),
                                  input_grad=False)
@@ -426,8 +430,12 @@ def sac_update(agent: SacAgent, data, tc: TrainConfig, n_steps: int | None = Non
     is refreshed from its master right after the master changes.  The
     working copies reuse their buffers from step to step (Mlp.reuse_buffers;
     _gradient_step's call order keeps every forward cache valid until its
-    backward), which gives the same values as fresh arrays.  A non-finite
-    loss or gradient raises NonFiniteState before it reaches the parameters.
+    backward), which gives the same values as fresh arrays.  Each net keeps
+    its own batch-size activations, since critic_loss and actor_loss hold
+    both critics' caches at once; the critics' CQL pool passes share one set
+    in the common scratch, which cql_regularizer spends one critic at a
+    time.  A non-finite loss or gradient raises NonFiniteState before it
+    reaches the parameters.
     """
     if len(data) < tc.batch:
         raise InsufficientData(
@@ -478,8 +486,35 @@ def _gradient_step(agent: SacAgent, work: SacAgent, batch: dict, tc: TrainConfig
 def _net_to_doc(net: Mlp) -> dict:
     return {
         "layer_sizes": net.layer_sizes,
-        "params": [p.tolist() for p in net.params],
+        "params": net.params,
     }
+
+
+def _array_to_list(obj):
+    """JSON encoder default: an array as nested lists, made only when the
+    encoder reaches it, so one array's Python floats exist at a time."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _lists_to_arrays(obj: dict) -> dict:
+    """JSON decoder object_hook: a net's "params" and an optimizer's "m" and
+    "v" become float64 arrays as soon as the decoder has parsed their
+    object, so one object's Python floats exist at a time.  An array it
+    cannot convert stays as parsed, for fill_from_doc to report."""
+    for key in ("params", "m", "v"):
+        arrays = obj.get(key)
+        if isinstance(arrays, list):
+            obj[key] = [_float_array(values) for values in arrays]
+    return obj
+
+
+def _float_array(values):
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return values
 
 
 def _net_from_doc(doc: dict, name: str, n_in: int, n_out: int) -> Mlp:
@@ -527,7 +562,8 @@ def _missing_key(doc: dict, keys: dict, prefix: str = "") -> str | None:
 
 
 def _agent_doc(agent: SacAgent) -> dict:
-    """The fescycle-agent-v1 document of `agent`, as both writers encode it."""
+    """The fescycle-agent-v1 document of `agent`, as both writers encode it
+    (with _array_to_list); its arrays are views of the agent's."""
     return {
         "format": "fescycle-agent-v1",
         "obs_dim": agent.obs_dim,
@@ -551,18 +587,20 @@ def _agent_doc(agent: SacAgent) -> dict:
 
 
 def agent_to_json(agent: SacAgent) -> str:
-    return json.dumps(_agent_doc(agent), indent=1) + "\n"
+    return json.dumps(_agent_doc(agent), indent=1, default=_array_to_list) + "\n"
 
 
 def agent_from_json(text: str, source: str = "<string>") -> SacAgent:
     """The agent a checkpoint's text holds.
 
     ValueError, naming `source` and the dotted key, when a key is missing;
-    ShapeMismatch when a net or moment does not fit the agent's dimensions;
+    ShapeMismatch, naming the key, unless obs_dim and n_actions are positive
+    integers, and when a net or moment does not fit the agent's dimensions;
     NonFiniteState, naming the net or optimizer and the array, on a NaN or
-    infinite parameter, Adam moment or log_alpha.
+    infinite parameter, Adam moment or log_alpha; Adam.from_state's errors
+    on a bad optimizer scalar.
     """
-    doc = json.loads(text)
+    doc = json.loads(text, object_hook=_lists_to_arrays)
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != "fescycle-agent-v1":
         raise ValueError(f"not an agent checkpoint: format={fmt!r}")
@@ -571,6 +609,9 @@ def agent_from_json(text: str, source: str = "<string>") -> SacAgent:
         raise ValueError(f"{source}: checkpoint lacks key {missing!r}")
     tc = train_config_from_dict(doc["train_config"])
     obs_dim, n_actions = doc["obs_dim"], doc["n_actions"]
+    for key, size in (("obs_dim", obs_dim), ("n_actions", n_actions)):
+        if not (type(size) is int and size > 0):
+            raise ShapeMismatch(f"{key} must be a positive integer, got {size!r}")
     agent = SacAgent(obs_dim, n_actions, tc)
     nets = doc["nets"]
     agent.actor.trunk = _net_from_doc(nets["actor"], "actor", obs_dim, 2 * n_actions)
@@ -603,7 +644,7 @@ def save_agent(agent: SacAgent, path) -> None:
     """Write agent_to_json(agent) to `path`, streaming the encoder's chunks
     into the file so the whole text is never held in memory."""
     with open(path, "w") as fh:
-        json.dump(_agent_doc(agent), fh, indent=1)
+        json.dump(_agent_doc(agent), fh, indent=1, default=_array_to_list)
         fh.write("\n")
 
 

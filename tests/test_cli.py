@@ -116,6 +116,7 @@ class TestExtract:
          "optimizer q1: moment m array 0 has 384 values, expected 448"),
         (lambda doc: doc["optimizers"]["actor"]["v"].pop(),
          "optimizer actor: moment v has 5 arrays, expected 6"),
+        (lambda doc: doc.update(obs_dim=5.0), "obs_dim must be a positive integer, got 5.0"),
     ])
     def test_checkpoint_shape_mismatch_is_domain_error(self, tmp_path, config_path, capsys,
                                                        edit, message):
@@ -138,6 +139,8 @@ class TestExtract:
         (lambda doc: doc["optimizers"]["q1"]["m"][1].__setitem__(3, math.inf),
          "optimizer q1: moment m array 1 has a non-finite value"),
         (lambda doc: doc.update(log_alpha=math.nan), "log_alpha has a non-finite value"),
+        (lambda doc: doc["optimizers"]["q1"].update(t=math.nan),
+         "optimizer q1: t must be a non-negative integer, got nan"),
     ])
     def test_checkpoint_non_finite_value_is_domain_error(self, tmp_path, config_path, capsys,
                                                          edit, message):
@@ -230,6 +233,82 @@ class TestCorruptCheckpointFuzz:
             with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
                 rc = cli.main(["extract", str(agent_path), str(config_path),
                                "--out", str(out)])
+            assert rc in (1, 2)
+            err = json.loads(stderr.getvalue())
+            assert set(err) >= {"error", "message"}
+            assert "Traceback" not in stderr.getvalue()
+            assert not out.exists()
+
+
+# each sidecar key's corruptions; dt 0.1 and a changed config_hash are valid
+# values that differ from the other session's, which logs_to_dataset rejects
+BAD_SIDECAR_VALUES = {
+    "pattern_id": [7, None, ["session00"]],
+    "config_hash": ["0" * 16, 5, None],
+    "dt": [0, -0.05, math.nan, math.inf, "0.05", None, True, 0.1],
+    "rows": [-1, 0, 60, 62, "61", 61.0, True, None],
+}
+
+
+@pytest.fixture(scope="module")
+def saved_session_logs(nominal_2m):
+    """{file name: text} of two saved 61-row session logs and their sidecars,
+    a saved constant agent and a small train config."""
+    pat = StimulationPattern((bm.QUADRICEPS, bm.HAMSTRINGS),
+                             (((30.0, 170.0),), ((190.0, 330.0),)))
+    logs = offline.collect_sessions(nominal_2m, bm.default_muscle_set(nominal_2m), pat,
+                                    n_sessions=2, duration_s=3.0, seed=5)
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, log in enumerate(logs):
+            offline.save_session_log(log, Path(tmp, f"session{k:02d}.csv"))
+        files = {path.name: path.read_text() for path in Path(tmp).iterdir()}
+    files["agent.json"] = sac.agent_to_json(constant_agent())
+    files["train.json"] = json.dumps({"batch": 64, "grad_steps_per_episode": 2,
+                                      "cql_num_samples": 4})
+    return files
+
+
+class TestCorruptSessionLogFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_finetune_fails_cleanly(self, saved_session_logs, data):
+        """Truncate a log to fewer lines, drop a cell, write text or a
+        non-finite value into a cell, or give a sidecar key a bad value:
+        finetune exits 1 or 2 with a JSON error and writes no checkpoint."""
+        files = dict(saved_session_logs)
+        name = data.draw(st.sampled_from(["session00.csv", "session01.csv"]))
+        kind = data.draw(st.sampled_from(["truncate", "drop_cell", "bad_cell", "sidecar"]))
+        lines = files[name].splitlines()
+        if kind == "truncate":
+            lines = lines[:data.draw(st.integers(0, len(lines) - 1))]
+        elif kind == "sidecar":
+            sidecar = json.loads(files[name + ".json"])
+            key = data.draw(st.sampled_from(sorted(BAD_SIDECAR_VALUES)))
+            sidecar[key] = data.draw(st.sampled_from(BAD_SIDECAR_VALUES[key]))
+            files[name + ".json"] = json.dumps(sidecar)
+        else:
+            row = data.draw(st.integers(0, len(lines) - 1))
+            cells = lines[row].split(",")
+            col = data.draw(st.integers(0, len(cells) - 1))
+            if kind == "drop_cell":
+                del cells[col]
+            else:
+                cells[col] = data.draw(st.sampled_from(
+                    ["nan", "inf", "-inf", "abc", "", "1e", "0x1"]))
+            lines[row] = ",".join(cells)
+        if kind != "sidecar":
+            files[name] = "".join(line + "\n" for line in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            logs = Path(tmp, "logs")
+            logs.mkdir()
+            for file_name, text in files.items():
+                Path(logs if file_name.startswith("session") else tmp, file_name).write_text(text)
+            out = Path(tmp, "ft.json")
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["finetune", str(Path(tmp, "agent.json")), str(logs),
+                               str(Path(tmp, "train.json")), "--out", str(out),
+                               "--epochs", "1", "--seed", "1"])
             assert rc in (1, 2)
             err = json.loads(stderr.getvalue())
             assert set(err) >= {"error", "message"}

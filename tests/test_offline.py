@@ -158,6 +158,77 @@ class TestCollectSessions:
         with pytest.raises(ValueError, match=rf"session00\.csv\.json: sidecar lacks key '{key}'"):
             offline.load_session_log(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [], "session00.csv: the file is empty, with no header row"),
+        (lambda lines: [line.split(",")[0] for line in lines],
+         "session00.csv: header 'time_s' is not time_s,crank_angle_rad,cadence_rad_s "
+         "followed by control columns u0,u1,..., as many for each leg"),
+        (lambda lines: [lines[0].rsplit(",", 1)[0]] + lines[1:],
+         "session00.csv: header 'time_s,crank_angle_rad,cadence_rad_s,u0,u1,u2' is not "
+         "time_s,crank_angle_rad,cadence_rad_s followed by control columns u0,u1,..., "
+         "as many for each leg"),
+        (lambda lines: lines[:3] + [lines[3] + ",0"] + lines[4:],
+         "session00.csv: row 3 has 8 cells, the header has 7"),
+        (lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:],
+         "session00.csv: row 5 has 6 cells, the header has 7"),
+        (lambda lines: lines[:2] + ["0.05,1.0,abc,0,0,0,0"] + lines[3:],
+         "session00.csv: row 2, column cadence_rad_s: 'abc' is not a number"),
+        (lambda lines: lines[:2] + ["1" * 200_000] + lines[3:],
+         "session00.csv: line 3: field larger than field limit (131072)"),
+    ])
+    def test_malformed_csv_is_named(self, ten_sessions, tmp_path, edit, message):
+        path = tmp_path / "session00.csv"
+        offline.save_session_log(ten_sessions[0], path)
+        lines = edit(path.read_text().splitlines())
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+            offline.load_session_log(path)
+
+    def test_csv_that_is_not_utf8_names_the_file(self, ten_sessions, tmp_path):
+        path = tmp_path / "session00.csv"
+        offline.save_session_log(ten_sessions[0], path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:4]) + b"\xff" + b"".join(lines[4:]))
+        with pytest.raises(ValueError, match=r"session00\.csv: 'utf-8' codec can't decode"):
+            offline.load_session_log(path)
+
+    def test_log_without_rows_is_insufficient_data(self, ten_sessions, tmp_path):
+        path = tmp_path / "session00.csv"
+        offline.save_session_log(ten_sessions[0], path)
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        sidecar = tmp_path / "session00.csv.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "rows": 0}))
+        with pytest.raises(InsufficientData, match=r"session00\.csv: the log holds no rows$"):
+            offline.load_session_log(path)
+
+    @pytest.mark.parametrize("key, value, error, rule", [
+        ("rows", "201", ValueError, "an integer >= 0"),
+        ("rows", 201.0, ValueError, "an integer >= 0"),
+        ("rows", -1, ValueError, "an integer >= 0"),
+        ("rows", True, ValueError, "an integer >= 0"),
+        ("dt", 0, ValueError, "a finite number > 0"),
+        ("dt", "0.05", ValueError, "a finite number > 0"),
+        ("dt", math.nan, NonFiniteState, "a finite number > 0"),
+        ("dt", math.inf, NonFiniteState, "a finite number > 0"),
+        ("pattern_id", 7, ValueError, "a string"),
+        ("config_hash", None, ValueError, "a string"),
+    ])
+    def test_bad_sidecar_value_is_named(self, ten_sessions, tmp_path, key, value, error, rule):
+        path = tmp_path / "session00.csv"
+        offline.save_session_log(ten_sessions[0], path)
+        sidecar = tmp_path / "session00.csv.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+        message = f"session00.csv.json: sidecar {key} must be {rule}, got {value!r}"
+        with pytest.raises(error, match=f"{re.escape(message)}$"):
+            offline.load_session_log(path)
+
+    def test_sidecar_that_is_not_json_names_the_file(self, ten_sessions, tmp_path):
+        path = tmp_path / "session00.csv"
+        offline.save_session_log(ten_sessions[0], path)
+        (tmp_path / "session00.csv.json").write_text('{"rows": ')
+        with pytest.raises(json.JSONDecodeError, match=r"session00\.csv\.json: Expecting"):
+            offline.load_session_log(path)
+
 
 class TestLogsToDataset:
     def test_counting_convention(self, ten_sessions):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,19 @@ import pytest
 from conftest import finite_difference, vector_rel_err
 from fescycle import sac
 from fescycle.nets import ADAM_STATE_KEYS
-from fescycle.errors import InsufficientData, NonFiniteState
+from fescycle.errors import InsufficientData, NonFiniteState, ShapeMismatch
 
 KS_CRIT_P01 = 1.62762  # Kolmogorov critical value at alpha = 0.01, large n
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc traces while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_agent(obs_dim=5, n_actions=2, **tc_kw):
@@ -543,6 +554,14 @@ class TestReusedWorkingBuffers:
         repeated = work.actor.trunk.forward(np.repeat(obs, 5, axis=0))
         np.testing.assert_array_equal(unique, repeated)
 
+    def test_cql_update_memory_peak(self):
+        """The critics' 2,560-row pool passes share one set of activation
+        buffers: two SAC+CQL steps trace under 4.6 MB (one set per critic
+        took about 5.5 MB)."""
+        agent, tc = make_agent(cql_weight=5.0, cql_num_samples=10, batch=256)
+        buf = TestSacUpdate()._filled_buffer(np.random.default_rng(32))
+        assert traced_peak(sac.sac_update, agent, buf, tc, 2) < 4.6e6
+
     def test_masters_keep_allocating(self):
         agent, tc = make_agent(cql_weight=1.0, cql_num_samples=4, batch=64)
         buf = TestSacUpdate()._filled_buffer(np.random.default_rng(31), n=100)
@@ -645,18 +664,23 @@ class TestCheckpoint:
         sac.save_agent(agent, path)
         assert path.read_bytes() == sac.agent_to_json(agent).encode()
 
-    def test_save_agent_memory_stays_below_twice_the_file(self, tmp_path):
-        """The writer streams: its traced peak is the document, not the text
-        on top of it (the text alone is as large as the file)."""
+    def test_save_agent_memory_stays_below_a_quarter_of_the_file(self, tmp_path):
+        """The writer streams, and the encoder turns one array at a time into
+        Python floats: its traced peak is neither the text (as large as the
+        file) nor the whole document as lists (about 1.2x the file)."""
         agent = self._trained_agent(2)
         path = tmp_path / "agent.json"
-        tracemalloc.start()
-        try:
-            sac.save_agent(agent, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * path.stat().st_size
+        peak = traced_peak(sac.save_agent, agent, path)
+        assert peak < 0.25 * path.stat().st_size
+
+    def test_load_agent_memory_stays_below_2_3_times_the_file(self, tmp_path):
+        """The decoder turns each net's and optimizer's arrays into float64
+        as it finishes them: the traced peak is the text plus the arrays, not
+        the text plus the whole document as lists (about 2.6x the file)."""
+        path = tmp_path / "agent.json"
+        sac.save_agent(self._trained_agent(2), path)
+        peak = traced_peak(sac.load_agent, path)
+        assert peak < 2.3 * path.stat().st_size
 
     def test_adam_state_keys_are_what_to_state_writes(self):
         agent, _ = make_agent()
@@ -675,6 +699,35 @@ class TestCheckpoint:
         doc = json.loads(sac.agent_to_json(self._trained_agent(2)))
         edit(doc)
         with pytest.raises(NonFiniteState, match=f"^{message}$"):
+            sac.agent_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value, error, rule", [
+        ("t", math.nan, NonFiniteState, "a non-negative integer"),
+        ("t", -3, ValueError, "a non-negative integer"),
+        ("t", 2.5, ValueError, "a non-negative integer"),
+        ("t", True, ValueError, "a non-negative integer"),
+        ("lr", -1, ValueError, "a finite number > 0"),
+        ("lr", math.inf, NonFiniteState, "a finite number > 0"),
+        ("eps", 0.0, ValueError, "a finite number > 0"),
+        ("beta1", "x", ValueError, "a finite number in [0, 1)"),
+        ("beta2", 1.0, ValueError, "a finite number in [0, 1)"),
+        ("beta2", math.nan, NonFiniteState, "a finite number in [0, 1)"),
+    ])
+    def test_bad_optimizer_scalar_is_named(self, key, value, error, rule):
+        doc = json.loads(sac.agent_to_json(make_agent()[0]))
+        doc["optimizers"]["q1"][key] = value
+        message = f"optimizer q1: {key} must be {rule}, got {value!r}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sac.agent_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key, value", [("obs_dim", 5.0), ("obs_dim", "5"),
+                                            ("obs_dim", 0), ("n_actions", -2),
+                                            ("n_actions", True)])
+    def test_dimension_must_be_positive_integer(self, key, value):
+        doc = json.loads(sac.agent_to_json(make_agent()[0]))
+        doc[key] = value
+        message = f"{key} must be a positive integer, got {value!r}"
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
             sac.agent_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("key", ["obs_dim", "log_alpha", "train_config.gamma",
