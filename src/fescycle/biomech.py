@@ -29,7 +29,10 @@ GLUTEUS = "GluteusMaximus"
 MUSCLE_NAMES = (QUADRICEPS, HAMSTRINGS, GLUTEUS)
 
 REACH_MARGIN = 1e-6  # m, strict clearance required at both reach limits
+CONTROL_DT = 0.05  # s, control interval: one sim_step, policy query or pattern lookup
 INNER_DT = 1e-3  # s, crank integrator substep
+N_SUBSTEPS = max(1, round(CONTROL_DT / INNER_DT))
+SUBSTEP_DT = CONTROL_DT / N_SUBSTEPS
 STICTION_CADENCE = 1e-3  # rad/s, below this Coulomb friction can pin the crank
 FV_OMEGA_MAX = 15.0  # rad/s of joint motion along the torque direction
 FV_ECCENTRIC_CAP = 1.5
@@ -433,14 +436,9 @@ def sim_step_count() -> int:
     return _STEP_COUNT
 
 
-def sim_step(
-    config: CyclingConfig,
-    muscles,
-    state: SimState,
-    controls,
-    dt_control: float = 0.05,
-) -> SimState:
-    """Advance one control interval with 1 ms semi-implicit Euler substeps.
+def sim_step(config: CyclingConfig, muscles, state: SimState, controls) -> SimState:
+    """Advance one control interval (CONTROL_DT) with 1 ms semi-implicit
+    Euler substeps.
 
     Viscous drag is handled implicitly; Coulomb friction is explicit with a
     stiction clamp so the crank neither chatters nor reverses under friction
@@ -452,8 +450,6 @@ def sim_step(
     n = len(muscles)
     if len(controls) != 2 * n:
         raise ValueError(f"expected {2 * n} controls, got {len(controls)}")
-    if not (dt_control > 0) or not math.isfinite(dt_control):
-        raise NonPositiveParameter("dt_control", dt_control)
     u = [min(1.0, max(0.0, float(c))) for c in controls]
 
     theta = state.crank_angle
@@ -463,14 +459,13 @@ def sim_step(
     coulomb = config.resistance_coulomb
     viscous = config.resistance_viscous
 
-    n_sub = max(1, round(dt_control / INNER_DT))
-    dt = dt_control / n_sub
+    dt = SUBSTEP_DT
     visc_div = 1.0 + dt * viscous / inertia
     terms = _muscle_terms(muscles)
     # activation_step's decay factor per activation, right leg then left
     decay = [math.exp(-dt / m.activation_tau) for m in muscles] * 2
 
-    for _ in range(n_sub):
+    for _ in range(N_SUBSTEPS):
         torque = _crank_torque_raw(config, terms, theta, omega, acts)
         for i in range(2 * n):
             a = u[i] + (acts[i] - u[i]) * decay[i]
@@ -493,9 +488,9 @@ def sim_step(
 
     if not (math.isfinite(theta) and math.isfinite(omega) and all(map(math.isfinite, acts))):
         raise NonFiniteState(
-            f"integration diverged at t={state.sim_time + dt_control:.3f} s"
+            f"integration diverged at t={state.sim_time + CONTROL_DT:.3f} s"
         )
-    return SimState(theta, omega, tuple(acts), state.sim_time + dt_control)
+    return SimState(theta, omega, tuple(acts), state.sim_time + CONTROL_DT)
 
 
 def nominal_config(n_muscles_per_leg: int = 2, seat_angle: float = 0.35) -> CyclingConfig:

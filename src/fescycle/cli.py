@@ -213,7 +213,7 @@ def cmd_evaluate(args) -> int:
         writer.writerow(["trial", "step", "time_s", "rpm"])
         for t_idx, trial in enumerate(result["trials"]):
             for i, rpm in enumerate(trial["rpm_trace"]):
-                writer.writerow([t_idx, i, f"{(i + 1) * result['dt']:.9g}", f"{rpm:.9g}"])
+                writer.writerow([t_idx, i, f"{(i + 1) * biomech.CONTROL_DT:.9g}", f"{rpm:.9g}"])
     _write_manifest("evaluate", [args.config, args.pattern, args.gap or ""],
                     [args.out], seed, started)
     per_trial = ", ".join(f"{t['mean_rpm']:.2f}" for t in result["trials"])

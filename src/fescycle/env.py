@@ -22,22 +22,17 @@ from . import biomech
 from .biomech import LEFT, RIGHT, CyclingConfig, SimState
 
 DISCOUNT = 0.99
+BETA = 1.0  # weight of the quadratic action penalty in the reward
 
 
 @dataclass(frozen=True)
 class EpisodeConfig:
     steps: int = 100
-    dt: float = 0.05
-    beta: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
 
 
 def make_observation(state: SimState, prev_action, side: str) -> np.ndarray:
@@ -48,12 +43,12 @@ def make_observation(state: SimState, prev_action, side: str) -> np.ndarray:
     return np.array([s, c, state.cadence, *prev_action], dtype=float)
 
 
-def reward(cadence_next: float, action, beta: float) -> float:
+def reward(cadence_next: float, action) -> float:
     a = np.asarray(action, dtype=float)
-    return float(cadence_next - beta * np.sum(a * a))
+    return float(cadence_next - BETA * np.sum(a * a))
 
 
-def mirrored_transitions(angles, cadences, controls, beta: float):
+def mirrored_transitions(angles, cadences, controls):
     """Right-leg and mirrored left-leg transitions of one trajectory.
 
     `angles` and `cadences` hold the trajectory's T+1 crank angles and
@@ -77,13 +72,14 @@ def mirrored_transitions(angles, cadences, controls, beta: float):
     obs[0, :, 3:] = 0.0
     obs[1:, :, 3:] = controls.reshape(steps, 2, n)
     act = controls.reshape(2 * steps, n)
-    rew = np.repeat(cadences[1:], 2) - beta * np.sum(act * act, axis=1)
+    rew = np.repeat(cadences[1:], 2) - BETA * np.sum(act * act, axis=1)
     return obs[:-1].reshape(2 * steps, -1), act, rew, obs[1:].reshape(2 * steps, -1)
 
 
-def drive(config: CyclingConfig, muscles, state: SimState, steps: int, dt: float, control):
-    """Step the plant `steps` times from `state`, applying `control(state)`,
-    a 2n-wide row with right-leg muscles first, at each step.
+def drive(config: CyclingConfig, muscles, state: SimState, steps: int, control):
+    """Step the plant `steps` control intervals from `state`, applying
+    `control(state)`, a 2n-wide row with right-leg muscles first, at each
+    step.
 
     Returns (final state, times, angles, cadences, controls): the steps + 1
     sim times, crank angles and cadences from `state` on, and the steps
@@ -96,7 +92,7 @@ def drive(config: CyclingConfig, muscles, state: SimState, steps: int, dt: float
     times[0], angles[0], cadences[0] = state.sim_time, state.crank_angle, state.cadence
     for t in range(steps):
         controls[t] = control(state)
-        state = biomech.sim_step(config, muscles, state, controls[t], dt)
+        state = biomech.sim_step(config, muscles, state, controls[t])
         times[t + 1], angles[t + 1], cadences[t + 1] = (
             state.sim_time, state.crank_angle, state.cadence)
     return state, times, angles, cadences, controls
@@ -113,21 +109,19 @@ class CyclingEnv:
         self.n_actions = config.n_muscles_per_leg
         self.obs_dim = 3 + self.n_actions
 
-    def reset(self, seed: int | None = None) -> SimState:
-        """A rest state at a uniform random crank angle drawn from
-        default_rng(seed), or from the env's own stream when seed is None."""
-        rng = np.random.default_rng(seed) if seed is not None else self.rng
-        return biomech.initial_state(self.config, float(rng.uniform(0.0, biomech.TWO_PI)))
+    def reset(self) -> SimState:
+        """A rest state at a uniform random crank angle drawn from the env's
+        own stream."""
+        return biomech.initial_state(self.config, float(self.rng.uniform(0.0, biomech.TWO_PI)))
 
-    def rollout(self, policy, seed: int | None = None):
-        """Run one fixed-length episode from reset(seed), querying
+    def rollout(self, policy):
+        """Run one fixed-length episode from reset(), querying
         `policy(obs)` for the right leg and then the left at each step; each
         leg's action, clipped to [0, 1], is its previous action at the next.
 
         Returns (discounted right-leg return, (obs, act, rew, next_obs)), the
         arrays being the episode's mirrored_transitions.
         """
-        ec = self.episode
         prev = [np.zeros(self.n_actions), np.zeros(self.n_actions)]
 
         def control(state):
@@ -136,8 +130,8 @@ class CyclingEnv:
             return np.concatenate(prev)
 
         _, _, angles, cadences, controls = drive(
-            self.config, self.muscles, self.reset(seed), ec.steps, ec.dt, control)
-        transitions = mirrored_transitions(angles, cadences, controls, ec.beta)
+            self.config, self.muscles, self.reset(), self.episode.steps, control)
+        transitions = mirrored_transitions(angles, cadences, controls)
         episode_return = 0.0
         discount = 1.0
         for r in transitions[2][0::2].tolist():

@@ -40,7 +40,8 @@ _ADAM_SCALAR_RULES = (
     ("beta1", "a finite number in [0, 1)", _unit_interval),
     ("beta2", "a finite number in [0, 1)", _unit_interval),
     ("eps", "a finite number > 0", _positive),
-    ("t", "a non-negative integer", lambda v: type(v) is int and v >= 0),
+    # a larger t overflows beta1**t in Adam.step
+    ("t", "an integer in [0, 2**63)", lambda v: type(v) is int and 0 <= v < 2**63),
 )
 
 
@@ -269,10 +270,10 @@ class Adam:
         """The optimizer `name` of a checkpoint.
 
         ValueError unless lr and eps are numbers > 0, beta1 and beta2
-        numbers in [0, 1) and t an integer >= 0 (NonFiniteState where the
-        value is NaN or infinite); ShapeMismatch unless each moment lists one
-        array of the right size per shape, NonFiniteState on a NaN or
-        infinite moment.  Errors name the optimizer and the key.
+        numbers in [0, 1) and t an integer in [0, 2**63) (NonFiniteState
+        where the value is NaN or infinite); ShapeMismatch unless each moment
+        lists one array of the right size per shape, NonFiniteState on a NaN
+        or infinite moment.  Errors name the optimizer and the key.
         """
         for key, rule, valid in _ADAM_SCALAR_RULES:
             value = state[key]

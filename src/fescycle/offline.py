@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from . import biomech, pattern as patterns, sac
-from .biomech import LEFT, RIGHT, CyclingConfig
+from .biomech import CONTROL_DT, LEFT, RIGHT, CyclingConfig
 from .env import drive, mirrored_transitions
 from .errors import (InconsistentConfig, InsufficientData, InvalidArgument, NonFiniteState,
                      ShapeMismatch)
@@ -100,10 +100,6 @@ class SessionLog:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def duration_s(self) -> float:
-        return float(self.times[-1])
-
 
 # collect's sessions in order: the base pattern first, then small rotations
 # and arc-size tweaks around it
@@ -124,8 +120,7 @@ SESSION_SCHEDULE = (
 def _describe(pert: PatternPerturbation | None) -> str:
     if pert is None:
         return "base"
-    target = pert.muscle or "all"
-    return f"{pert.kind}{pert.magnitude_deg:+g}:{target}"
+    return f"{pert.kind}{pert.magnitude_deg:+g}:all"
 
 
 def _run_drives(jobs) -> list:
@@ -161,19 +156,20 @@ def _run_drives(jobs) -> list:
 ASSIST_CADENCE = 3.0  # rad/s handed to the crank at session start (the push a
                       # helper or motor gives before stimulation takes over)
 MAX_START_CADENCE = 4.0 * math.pi  # rad/s (120 RPM)
+TRANSIENT_S = 5.0  # s of each evaluation trial left out of its mean RPM
 
 
-def _drive_steps(duration_s: float, dt: float, start_cadence: float) -> int:
+def _drive_steps(duration_s: float, start_cadence: float) -> int:
     """Control steps in a drive of duration_s; InvalidArgument unless the
     duration is finite and holds at least one step and the starting push
     lies in [0, MAX_START_CADENCE]."""
     if not 0.0 <= start_cadence <= MAX_START_CADENCE:
         raise InvalidArgument(f"start cadence {start_cadence:g} rad/s must lie in "
                               f"[0, {MAX_START_CADENCE:g}] rad/s (0-120 RPM)")
-    steps = duration_s / dt
+    steps = duration_s / CONTROL_DT
     if not (math.isfinite(steps) and round(steps) >= 1):
         raise InvalidArgument(f"duration {duration_s:g} s must be finite and hold at least "
-                              f"one {dt:g} s control step")
+                              f"one {CONTROL_DT:g} s control step")
     return round(steps)
 
 
@@ -181,21 +177,20 @@ def _drive(job):
     """An open-loop drive of pattern `pat` from `start_angle` with the
     starting push `start_cadence`: the steps + 1 rows of time, crank angle,
     cadence and control that a SessionLog holds."""
-    config, muscles, pat, start_angle, start_cadence, steps, dt = job
+    config, muscles, pat, start_angle, start_cadence, steps = job
 
     def control(state):
         return np.concatenate([pattern_control(pat, state.crank_angle, RIGHT),
                                pattern_control(pat, state.crank_angle, LEFT)])
 
     state = replace(biomech.initial_state(config, start_angle), cadence=start_cadence)
-    state, times, angles, cadences, controls = drive(config, muscles, state, steps, dt, control)
+    state, times, angles, cadences, controls = drive(config, muscles, state, steps, control)
     return times, angles, cadences, np.vstack([controls, control(state)])
 
 
 def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPattern,
                      n_sessions: int = 10, duration_s: float = 10.0,
-                     seed: int = 0, dt: float = 0.05,
-                     start_cadence: float = ASSIST_CADENCE) -> list[SessionLog]:
+                     seed: int = 0, start_cadence: float = ASSIST_CADENCE) -> list[SessionLog]:
     """Drive the simulator open loop with perturbed copies of the pattern.
 
     Session k follows SESSION_SCHEDULE[k].  Each session resets to a random
@@ -208,21 +203,21 @@ def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPa
     if not 1 <= n_sessions <= len(SESSION_SCHEDULE):
         raise InvalidArgument(f"n_sessions must lie in 1..{len(SESSION_SCHEDULE)}, "
                               f"got {n_sessions}")
-    steps = _drive_steps(duration_s, dt, start_cadence)
+    steps = _drive_steps(duration_s, start_cadence)
     rng = np.random.default_rng(seed)
     fingerprint = config_fingerprint(config, muscles)
     perts = SESSION_SCHEDULE[:n_sessions]
     jobs = [
         (config, muscles,
          base_pattern if pert is None else patterns.perturb_pattern(base_pattern, pert),
-         float(rng.uniform(0.0, biomech.TWO_PI)), start_cadence, steps, dt)
+         float(rng.uniform(0.0, biomech.TWO_PI)), start_cadence, steps)
         for pert in perts
     ]
     return [
         SessionLog(
             pattern_id=f"session{k:02d}:{_describe(pert)}",
             config_hash=fingerprint,
-            dt=dt,
+            dt=CONTROL_DT,
             times=times,
             crank_angles=angles,
             cadences=cadences,
@@ -233,13 +228,15 @@ def collect_sessions(config: CyclingConfig, muscles, base_pattern: StimulationPa
     ]
 
 
-def logs_to_dataset(logs, beta: float = 1.0, discard_first_s: float = 0.0) -> OfflineDataset:
+def logs_to_dataset(logs, discard_first_s: float = 0.0) -> OfflineDataset:
     """Mirrored transitions from consecutive log rows.
 
     Each pair of consecutive rows yields a right-leg transition and its
     mirrored left-leg twin (env.mirrored_transitions); the last row of a
     session only serves as a next state.  Transitions from rows earlier than
-    discard_first_s are dropped to cut spin-up transients.
+    discard_first_s are dropped to cut spin-up transients.  Every log must
+    come from one simulator and be sampled at CONTROL_DT, the interval the
+    agent acts at (InconsistentConfig otherwise).
     """
     if not logs:
         raise InsufficientData("no session logs given")
@@ -247,10 +244,10 @@ def logs_to_dataset(logs, beta: float = 1.0, discard_first_s: float = 0.0) -> Of
     if len(fingerprints) != 1:
         raise InconsistentConfig(f"logs from different simulators: {sorted(fingerprints)}")
     first = logs[0]
-    for log in logs[1:]:
-        if log.dt != first.dt:
+    for log in logs:
+        if log.dt != CONTROL_DT:
             raise InconsistentConfig(f"session {log.pattern_id}: dt {log.dt} s differs from "
-                                     f"{first.dt} s in session {first.pattern_id}")
+                                     f"the {CONTROL_DT} s control interval")
         if log.controls.shape[1] != first.controls.shape[1]:
             raise ShapeMismatch(f"session {log.pattern_id}: {log.controls.shape[1]} control "
                                 f"columns, session {first.pattern_id} has "
@@ -259,7 +256,7 @@ def logs_to_dataset(logs, beta: float = 1.0, discard_first_s: float = 0.0) -> Of
     blocks = []
     for log in logs:
         obs, act, rew, next_obs = mirrored_transitions(
-            log.crank_angles, log.cadences, log.controls[:-1], beta)
+            log.crank_angles, log.cadences, log.controls[:-1])
         keep = np.repeat(log.times[:-1] >= discard_first_s, 2)
         blocks.append((obs[keep], act[keep], rew[keep], next_obs[keep]))
     return OfflineDataset(*(np.concatenate(column) for column in zip(*blocks)))
@@ -274,10 +271,6 @@ def finetune(agent: sac.SacAgent, dataset: OfflineDataset, tc: sac.TrainConfig,
     """
     if epochs < 1:
         raise InvalidArgument(f"epochs must be >= 1, got {epochs}")
-    if len(dataset) < tc.batch:
-        raise InsufficientData(
-            f"dataset has {len(dataset)} tuples, need at least {tc.batch}"
-        )
     for _ in range(epochs):
         sac.sac_update(agent, dataset, tc)
     return agent
@@ -285,25 +278,24 @@ def finetune(agent: sac.SacAgent, dataset: OfflineDataset, tc: sac.TrainConfig,
 
 def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
                      duration_s: float = 30.0, n_trials: int = 5, seed: int = 0,
-                     transient_s: float = 5.0, dt: float = 0.05,
                      start_cadence: float = ASSIST_CADENCE) -> dict:
     """Open-loop pattern drive from random start angles.
 
     Each trial begins with the assisted starting push from a start angle
     drawn from default_rng([seed, trial]); its RPM trace is the cadence after
-    each step, and the mean RPM is taken after the transient window so the
+    each step, and the mean RPM is taken after the first TRANSIENT_S so the
     push itself does not count.  Trials run side by side as in _run_drives.
     """
     if n_trials < 1:
         raise InvalidArgument(f"n_trials must be >= 1, got {n_trials}")
-    steps = _drive_steps(duration_s, dt, start_cadence)
-    skip = round(transient_s / dt)
+    steps = _drive_steps(duration_s, start_cadence)
+    skip = round(TRANSIENT_S / CONTROL_DT)
     if steps <= skip:
         raise InvalidArgument(f"duration {duration_s:g} s leaves no step after the "
-                              f"{transient_s:g} s transient")
+                              f"{TRANSIENT_S:g} s transient")
     jobs = [(config, muscles, p,
              float(np.random.default_rng([seed, trial]).uniform(0.0, biomech.TWO_PI)),
-             start_cadence, steps, dt)
+             start_cadence, steps)
             for trial in range(n_trials)]
     traces = [cadences[1:] * RPM_PER_RAD_S for _, _, cadences, _ in _run_drives(jobs)]
     trials = [
@@ -318,9 +310,6 @@ def evaluate_pattern(config: CyclingConfig, muscles, p: StimulationPattern,
     return {
         "mean_rpm": float(np.mean([t["mean_rpm"] for t in trials])),
         "trials": trials,
-        "duration_s": duration_s,
-        "transient_s": transient_s,
-        "dt": dt,
     }
 
 

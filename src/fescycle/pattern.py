@@ -103,9 +103,10 @@ class StimulationPattern:
 
 @dataclass(frozen=True)
 class PatternPerturbation:
+    """A rotation, shrink or extension of every muscle's intervals."""
+
     kind: str
     magnitude_deg: float
-    muscle: str | None = None  # None applies to every muscle
 
     def __post_init__(self):
         if self.kind not in (SHRINK, EXTEND, ROTATE):
@@ -135,9 +136,6 @@ def perturb_pattern(p: StimulationPattern, pert: PatternPerturbation) -> Stimula
     mag = pert.magnitude_deg
     out = []
     for name, ivs in zip(p.muscle_names, p.intervals):
-        if pert.muscle is not None and name != pert.muscle:
-            out.append(ivs)
-            continue
         if ivs == (FULL_CIRCLE,):
             if pert.kind == SHRINK and mag > 0:
                 out.append((_canonical(mag / 2.0, 360.0 - mag / 2.0),))
@@ -347,11 +345,14 @@ def pattern_to_json(p: StimulationPattern) -> str:
 
 def pattern_from_json(text: str) -> StimulationPattern:
     doc = json.loads(text)
-    names = tuple(doc["muscles"].keys())
+    muscles = doc.get("muscles") if isinstance(doc, dict) else None
+    if not isinstance(muscles, dict):
+        raise ValueError('pattern has no "muscles" object')
+    names = tuple(muscles.keys())
     if len(names) != doc.get("n_muscles", len(names)):
         raise ValueError("n_muscles does not match the muscle table")
     intervals = tuple(
-        tuple((float(on), float(off)) for on, off in doc["muscles"][name])
+        tuple((float(on), float(off)) for on, off in muscles[name])
         for name in names
     )
     return StimulationPattern(names, intervals, doc.get("source", "manual"))
@@ -363,11 +364,20 @@ def save_pattern(p: StimulationPattern, path) -> None:
 
 
 def load_pattern(path) -> StimulationPattern:
+    """The pattern saved at `path`; a JSONDecodeError, or a ValueError for
+    any other malformed content, names the file."""
     with open(path) as fh:
-        return pattern_from_json(fh.read())
+        text = fh.read()
+    try:
+        return pattern_from_json(text)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 _RING_COLORS = ("#d62728", "#1f77b4", "#2ca02c")
+SVG_SIZE = 420  # px, width and height of pattern_to_svg's square
 
 
 def _arc_path(cx, cy, r_in, r_out, on_deg, off_deg) -> str:
@@ -392,8 +402,9 @@ def _arc_path(cx, cy, r_in, r_out, on_deg, off_deg) -> str:
     return " ".join(p)
 
 
-def pattern_to_svg(p: StimulationPattern, size: int = 420) -> str:
+def pattern_to_svg(p: StimulationPattern) -> str:
     """Polar bar diagram: one ring per muscle, ON arcs filled."""
+    size = SVG_SIZE
     cx = cy = size / 2.0
     r_max = size / 2.0 - 30.0
     ring = r_max / (p.n_muscles + 1)

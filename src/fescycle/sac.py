@@ -395,8 +395,9 @@ def _polyak_update(target: Mlp, online: Mlp, tau: float) -> None:
     target.flat += tau * online.flat
 
 
-def _require_finite(term: str, loss: float, *grads: np.ndarray) -> None:
-    if not math.isfinite(loss) or not all(np.isfinite(g).all() for g in grads):
+def _require_finite(term: str, *values) -> None:
+    """NonFiniteState unless every loss or gradient in `values` is finite."""
+    if not all(np.isfinite(v).all() for v in values):
         raise NonFiniteState(f"{term} loss or gradient is not finite")
 
 
@@ -418,8 +419,9 @@ def working_copy(agent: SacAgent, dtype) -> SacAgent:
     return work
 
 
-def sac_update(agent: SacAgent, data, tc: TrainConfig, n_steps: int | None = None) -> SacAgent:
-    """Run gradient steps from uniformly sampled batches.
+def sac_update(agent: SacAgent, data, tc: TrainConfig) -> SacAgent:
+    """Run tc.grad_steps_per_episode gradient steps from uniformly sampled
+    batches; InsufficientData when `data` holds fewer than tc.batch rows.
 
     One step = critic step (TD loss, plus the weighted conservative term and
     the 1/2 TD scaling when cql_weight > 0), actor step, temperature step
@@ -441,7 +443,7 @@ def sac_update(agent: SacAgent, data, tc: TrainConfig, n_steps: int | None = Non
         raise InsufficientData(
             f"need at least {tc.batch} tuples, have {len(data)}"
         )
-    steps = tc.grad_steps_per_episode if n_steps is None else n_steps
+    steps = tc.grad_steps_per_episode
     work = working_copy(agent, WORK_DTYPE)
     scratch = {}
     for net in _nets(work):
@@ -456,11 +458,12 @@ def sac_update(agent: SacAgent, data, tc: TrainConfig, n_steps: int | None = Non
 
 def _gradient_step(agent: SacAgent, work: SacAgent, batch: dict, tc: TrainConfig) -> None:
     batch = {key: np.asarray(value, dtype=WORK_DTYPE) for key, value in batch.items()}
-    loss_q, (g1, g2), aux = critic_loss(work, batch, tc)
-    _require_finite("critic", loss_q, g1, g2)
+    # the loss functions have checked their losses; the gradients are checked here
+    _, (g1, g2), aux = critic_loss(work, batch, tc)
+    _require_finite("critic", g1, g2)
     if tc.cql_weight > 0.0:
-        loss_c, (c1, c2) = cql_regularizer(work, batch, tc, q_data=aux["q_data"])
-        _require_finite("cql", loss_c, c1, c2)
+        _, (c1, c2) = cql_regularizer(work, batch, tc, q_data=aux["q_data"])
+        _require_finite("cql", c1, c2)
         g1 = tc.cql_weight * c1 + 0.5 * g1
         g2 = tc.cql_weight * c2 + 0.5 * g2
     agent.opt_q1.step(agent.q1.flat, g1)
@@ -468,13 +471,13 @@ def _gradient_step(agent: SacAgent, work: SacAgent, batch: dict, tc: TrainConfig
     work.q1.flat[...] = agent.q1.flat
     work.q2.flat[...] = agent.q2.flat
 
-    loss_a, ga, log_prob = actor_loss(work, batch, tc)
-    _require_finite("actor", loss_a, ga)
+    _, ga, log_prob = actor_loss(work, batch, tc)
+    _require_finite("actor", ga)
     agent.opt_actor.step(agent.actor.trunk.flat, ga)
     work.actor.trunk.flat[...] = agent.actor.trunk.flat
 
     grad_log_alpha = np.array([-float(np.mean(log_prob + agent.target_entropy))])
-    _require_finite("alpha", float(grad_log_alpha[0]))
+    _require_finite("alpha", grad_log_alpha)
     agent.opt_alpha.step(agent.log_alpha, grad_log_alpha)
 
     _polyak_update(agent.q1_target, agent.q1, tc.polyak)

@@ -11,7 +11,10 @@ Training episodes and pattern sessions step the plant through one loop,
 env.drive, which calls biomech.sim_step and, for a session,
 offline.pattern_control through their module attributes; a loop that
 imported either name directly would bypass the tracer, so the traced counts
-must match the plant's own counter and the session's length."""
+must match the plant's own counter and the session's length.
+
+perfbench/checks.py keeps its own copy of the control interval to count the
+rows of session logs and evaluation traces; it must equal the program's."""
 
 from pathlib import Path
 
@@ -61,3 +64,10 @@ def test_traced_train_and_finetune_record_no_errors(nominal_2m, monkeypatch):
     assert tracer.calls["biomech.sim_step"] == steps == 100 + 80
     # both legs at each of the session's 81 logged rows
     assert tracer.calls["pattern.control"] == 2 * (80 + 1)
+
+
+def test_bench_control_interval_is_the_program_s(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+
+    assert checks.CONTROL_DT == bm.CONTROL_DT

@@ -333,15 +333,15 @@ def reference_torque(config, muscles, theta, omega, acts):
     return total
 
 
-def reference_step(config, muscles, state, controls, dt_control=0.05):
+def reference_step(config, muscles, state, controls):
     """sim_step written with the reference helpers, one call per term, in
     the plant's operation order; returns (crank_angle, cadence, activations)."""
     n = len(muscles)
     u = [min(1.0, max(0.0, float(c))) for c in controls]
     theta, omega, acts = state.crank_angle, state.cadence, list(state.activations)
     coulomb = config.resistance_coulomb
-    n_sub = max(1, round(dt_control / bm.INNER_DT))
-    dt = dt_control / n_sub
+    n_sub = max(1, round(bm.CONTROL_DT / bm.INNER_DT))
+    dt = bm.CONTROL_DT / n_sub
     visc_div = 1.0 + dt * config.resistance_viscous / config.crank_inertia
     for _ in range(n_sub):
         torque = reference_torque(config, muscles, theta, omega, acts)
@@ -406,12 +406,6 @@ class TestFastPlantMatchesReference:
             acts = tuple(rng.uniform(-0.3, 1.0, 2 * n_muscles))
             got = bm._crank_torque_raw(config, bm._muscle_terms(muscles), theta, omega, acts)
             assert got == reference_torque(config, muscles, theta, omega, acts)
-
-    @pytest.mark.parametrize("dt_control", [0.0, -0.05, math.nan, math.inf])
-    def test_bad_dt_control(self, nominal_2m, dt_control):
-        muscles = bm.default_muscle_set(nominal_2m)
-        with pytest.raises(NonPositiveParameter):
-            bm.sim_step(nominal_2m, muscles, bm.initial_state(nominal_2m), [1.0] * 4, dt_control)
 
 
 class TestCrankTorque:

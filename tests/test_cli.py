@@ -140,7 +140,7 @@ class TestExtract:
          "optimizer q1: moment m array 1 has a non-finite value"),
         (lambda doc: doc.update(log_alpha=math.nan), "log_alpha has a non-finite value"),
         (lambda doc: doc["optimizers"]["q1"].update(t=math.nan),
-         "optimizer q1: t must be a non-negative integer, got nan"),
+         "optimizer q1: t must be an integer in [0, 2**63), got nan"),
     ])
     def test_checkpoint_non_finite_value_is_domain_error(self, tmp_path, config_path, capsys,
                                                          edit, message):
@@ -240,8 +240,9 @@ class TestCorruptCheckpointFuzz:
             assert not out.exists()
 
 
-# each sidecar key's corruptions; dt 0.1 and a changed config_hash are valid
-# values that differ from the other session's, which logs_to_dataset rejects
+# each sidecar key's corruptions; a changed config_hash is a valid value that
+# differs from the other session's and dt 0.1 one that differs from the
+# control interval, both of which logs_to_dataset rejects
 BAD_SIDECAR_VALUES = {
     "pattern_id": [7, None, ["session00"]],
     "config_hash": ["0" * 16, 5, None],
@@ -419,6 +420,24 @@ class TestCollectFinetuneEvaluate:
         assert "session00.csv.json: sidecar lacks key 'rows'" in err["message"]
         assert not out_path.exists()
 
+    def test_finetune_rejects_logs_at_another_dt(self, tmp_path, saved_session_logs, capsys):
+        """Logs that agree with each other on dt 0.1 s still differ from the
+        0.05 s control interval the agent acts at."""
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        for name, text in saved_session_logs.items():
+            if name.endswith(".csv.json"):
+                text = json.dumps({**json.loads(text), "dt": 0.1})
+            (logs if name.startswith("session") else tmp_path).joinpath(name).write_text(text)
+        out_path = tmp_path / "ft.json"
+        rc = cli.main(["finetune", str(tmp_path / "agent.json"), str(logs),
+                       str(tmp_path / "train.json"), "--out", str(out_path), "--epochs", "1"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InconsistentConfig"
+        assert "dt 0.1 s differs from the 0.05 s control interval" in err["message"]
+        assert not out_path.exists()
+
     def test_finetune_insufficient_data(self, tmp_path, config_path, pattern_path, capsys):
         out_dir = tmp_path / "logs"
         cli.main([
@@ -461,11 +480,8 @@ class TestCollectFinetuneEvaluate:
         assert rows[0] == "trial,step,time_s,rpm"
         assert len(rows) == 1 + 2 * 240
 
-    def test_evaluate_time_column_uses_evaluation_dt(self, tmp_path, config_path,
-                                                     pattern_path, monkeypatch):
-        evaluate = offline.evaluate_pattern
-        monkeypatch.setattr(offline, "evaluate_pattern",
-                            lambda *args, **kwargs: evaluate(*args, dt=0.1, **kwargs))
+    def test_evaluate_time_column_steps_by_control_dt(self, tmp_path, config_path,
+                                                      pattern_path):
         out = tmp_path / "eval.csv"
         rc = cli.main([
             "evaluate", str(config_path), str(pattern_path),
@@ -473,8 +489,8 @@ class TestCollectFinetuneEvaluate:
         ])
         assert rc == 0
         rows = out.read_text().strip().splitlines()
-        assert len(rows) == 1 + 60
-        assert [r.split(",")[2] for r in (rows[1], rows[-1])] == ["0.1", "6"]
+        assert len(rows) == 1 + 120
+        assert [r.split(",")[2] for r in (rows[1], rows[2], rows[-1])] == ["0.05", "0.1", "6"]
 
     def test_evaluate_reproducible_byte_for_byte(self, tmp_path, config_path, pattern_path):
         out1 = tmp_path / "eval1.csv"
@@ -542,6 +558,24 @@ class TestCompare:
         report = json.loads(out.read_text())
         assert report[bm.QUADRICEPS]["on_offset_deg"] == 10.0
         assert report[bm.HAMSTRINGS]["on_offset_deg"] == 10.0
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"source": "x"}, 'pattern has no "muscles" object'),
+        ({"muscles": [1, 2]}, 'pattern has no "muscles" object'),
+        ([1, 2], 'pattern has no "muscles" object'),
+        ({"muscles": {bm.QUADRICEPS: 5}}, "'int' object is not iterable"),
+    ], ids=["no_muscles", "muscles_list", "not_object", "intervals_not_list"])
+    def test_malformed_pattern_is_bad_input_naming_file(self, tmp_path, pattern_path, capsys,
+                                                        doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "cmp.json"
+        rc = cli.main(["compare", str(pattern_path), str(bad), "--out", str(out)])
+        assert rc == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert json.loads(stderr) == {"error": "bad_input", "message": f"{bad}: {message}"}
+        assert not out.exists()
 
     def test_muscle_mismatch_is_domain_error(self, tmp_path, pattern_path, capsys):
         other = tmp_path / "one.json"

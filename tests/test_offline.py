@@ -79,7 +79,7 @@ class TestCollectSessions:
         assert len(ten_sessions) == 10
         for log in ten_sessions:
             assert len(log) == 201  # initial row + 200 control steps
-            assert log.duration_s == pytest.approx(10.0)
+            assert log.times[-1] == pytest.approx(10.0)
         total_steps = sum(len(log) - 1 for log in ten_sessions)
         assert total_steps == 2000
         assert total_steps * 0.05 == pytest.approx(100.0)
@@ -245,7 +245,7 @@ class TestLogsToDataset:
     def test_rewards_recomputable_from_rows(self, ten_sessions):
         data = offline.logs_to_dataset(ten_sessions)
         for i in range(0, len(data), 97):
-            want = reward(data.next_obs[i][2], data.act[i], 1.0)
+            want = reward(data.next_obs[i][2], data.act[i])
             assert data.rew[i] == want
 
     def test_mirrored_and_plain_tuples_pair_up(self, ten_sessions):
@@ -285,13 +285,13 @@ class TestLogsToDataset:
         controls = np.hstack([act[0::2], act[1::2]])
         replay = iter(controls)
         _, times, angles, cadences, _ = drive(nominal_2m, env.muscles, env.reset(), len(controls),
-                                              episode.dt, lambda state: next(replay))
+                                              lambda state: next(replay))
         log = offline.SessionLog(
-            pattern_id="online", config_hash="sim", dt=episode.dt,
+            pattern_id="online", config_hash="sim", dt=bm.CONTROL_DT,
             times=times, crank_angles=angles, cadences=cadences,
             controls=np.vstack([controls, controls[-1:]]),
         )
-        data = offline.logs_to_dataset([log], beta=episode.beta)
+        data = offline.logs_to_dataset([log])
         for name, column in zip(("obs", "act", "rew", "next_obs"), rows):
             assert getattr(data, name).tobytes() == column.tobytes(), name
 
@@ -305,10 +305,16 @@ class TestLogsToDataset:
         with pytest.raises(InconsistentConfig):
             offline.logs_to_dataset([ten_sessions[0], other[0]])
 
-    def test_mixed_dt_rejected(self, ten_sessions):
-        other = replace(ten_sessions[1], dt=0.02)
-        with pytest.raises(InconsistentConfig, match=rf"session {re.escape(other.pattern_id)}: dt"):
-            offline.logs_to_dataset([ten_sessions[0], other])
+    @pytest.mark.parametrize("changed", [[0], [1], [0, 1]], ids=["first", "second", "both"])
+    def test_dt_other_than_control_interval_rejected(self, ten_sessions, changed):
+        """A log at another rate is rejected wherever it stands, also when
+        every log agrees on that rate."""
+        logs = [replace(log, dt=0.1) if k in changed else log
+                for k, log in enumerate(ten_sessions[:2])]
+        message = (f"session {logs[changed[0]].pattern_id}: dt 0.1 s differs from "
+                   f"the 0.05 s control interval")
+        with pytest.raises(InconsistentConfig, match=f"^{re.escape(message)}$"):
+            offline.logs_to_dataset(logs)
 
     def test_mixed_control_width_rejected(self, ten_sessions):
         log = ten_sessions[2]
@@ -395,7 +401,6 @@ class TestEvaluatePattern:
         result = offline.evaluate_pattern(config, muscles, base_pattern,
                                           duration_s=20.0, n_trials=3, seed=11)
         assert 30.0 < result["mean_rpm"] < 70.0
-        assert result["dt"] == 0.05
         for trial in result["trials"]:
             assert trial["rpm_trace"].shape == (400,)
 
@@ -429,8 +434,8 @@ class TestDrivesSideBySide:
         logs = offline.collect_sessions(config, muscles, pat, n_sessions=3,
                                         duration_s=2.0, seed=21)
         assert multiprocessing.active_children() == []
-        result = offline.evaluate_pattern(config, muscles, pat, duration_s=3.0,
-                                          n_trials=3, seed=22, transient_s=1.0)
+        result = offline.evaluate_pattern(config, muscles, pat, duration_s=6.0,
+                                          n_trials=3, seed=22)
         assert multiprocessing.active_children() == []
         return logs, result, bm.sim_step_count() - before
 
@@ -438,7 +443,7 @@ class TestDrivesSideBySide:
         serial_logs, serial, serial_steps = self._run(monkeypatch, 1, *sim)
         pool_logs, pool, pool_steps = self._run(monkeypatch, 2, *sim)
         # the serial drives ran here, the pool's in workers
-        assert (serial_steps, pool_steps) == (3 * 40 + 3 * 60, 0)
+        assert (serial_steps, pool_steps) == (3 * 40 + 3 * 120, 0)
         assert [log.pattern_id for log in pool_logs] == [log.pattern_id for log in serial_logs]
         for a, b in zip(serial_logs, pool_logs):
             assert (a.config_hash, a.dt) == (b.config_hash, b.dt)
@@ -454,9 +459,8 @@ class TestDrivesSideBySide:
         _use_cpus(monkeypatch, 2)
         config, muscles = rig
         before = bm.sim_step_count()
-        offline.evaluate_pattern(config, muscles, base_pattern, duration_s=2.0, n_trials=1,
-                                 transient_s=1.0)
+        offline.evaluate_pattern(config, muscles, base_pattern, duration_s=6.0, n_trials=1)
         offline.collect_sessions(config, muscles, base_pattern, n_sessions=1, duration_s=2.0)
         # every step ran in this process
-        assert bm.sim_step_count() - before == 40 + 40
+        assert bm.sim_step_count() - before == 120 + 40
         assert multiprocessing.active_children() == []

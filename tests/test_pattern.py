@@ -89,28 +89,16 @@ class TestPerturb:
         # a 40-degree arc shrunk by 45 degrees would invert
         p = simple_pattern(quad=((30.0, 70.0),))
         with pytest.raises(DegenerateInterval):
-            pt.perturb_pattern(
-                p, pt.PatternPerturbation(pt.SHRINK, 45.0, muscle=bm.QUADRICEPS)
-            )
+            pt.perturb_pattern(p, pt.PatternPerturbation(pt.SHRINK, 45.0))
 
     def test_shrink_to_exactly_zero_raises(self):
         p = simple_pattern(quad=((30.0, 70.0),))
         with pytest.raises(DegenerateInterval):
-            pt.perturb_pattern(
-                p, pt.PatternPerturbation(pt.SHRINK, 40.0, muscle=bm.QUADRICEPS)
-            )
+            pt.perturb_pattern(p, pt.PatternPerturbation(pt.SHRINK, 40.0))
 
     def test_magnitude_rail(self):
         with pytest.raises(ValueError):
             pt.PatternPerturbation(pt.ROTATE, 46.0)
-
-    def test_single_muscle_selector(self):
-        p = simple_pattern()
-        out = pt.perturb_pattern(
-            p, pt.PatternPerturbation(pt.ROTATE, 10.0, muscle=bm.HAMSTRINGS)
-        )
-        assert out.intervals[0] == ((30.0, 150.0),)
-        assert out.intervals[1] == ((220.0, 340.0),)
 
     def test_rotation_wraps(self):
         p = simple_pattern(quad=((340.0, 20.0),))

@@ -407,12 +407,12 @@ class TestSacUpdate:
         return buf
 
     def test_polyak_tracking(self):
-        agent, tc = make_agent()
+        agent, tc = make_agent(grad_steps_per_episode=1)
         rng = np.random.default_rng(0)
         buf = self._filled_buffer(rng)
         before = [p.copy() for p in agent.q1_target.params]
         online_before = [p.copy() for p in agent.q1.params]
-        sac.sac_update(agent, buf, tc, n_steps=1)
+        sac.sac_update(agent, buf, tc)
         # the target moved toward the *updated* online params by factor tau
         tau = tc.polyak
         for t_now, t_old, q_now in zip(agent.q1_target.params, before, agent.q1.params):
@@ -437,9 +437,9 @@ class TestSacUpdate:
     def test_fixed_seed_reproduces_parameters(self):
         def run():
             rng = np.random.default_rng(1)
-            agent, tc = make_agent(seed=42)
+            agent, tc = make_agent(seed=42, grad_steps_per_episode=20)
             buf = self._filled_buffer(rng)
-            sac.sac_update(agent, buf, tc, n_steps=20)
+            sac.sac_update(agent, buf, tc)
             return agent
 
         a1 = run()
@@ -451,11 +451,11 @@ class TestSacUpdate:
         assert a1.log_alpha[0] == a2.log_alpha[0]
 
     def test_alpha_moves_toward_entropy_target(self):
-        agent, tc = make_agent()
+        agent, tc = make_agent(grad_steps_per_episode=50)
         rng = np.random.default_rng(1)
         buf = self._filled_buffer(rng)
         before = agent.alpha
-        sac.sac_update(agent, buf, tc, n_steps=50)
+        sac.sac_update(agent, buf, tc)
         assert agent.alpha != before
         assert math.isfinite(agent.alpha)
 
@@ -499,10 +499,10 @@ class TestWorkingCopies:
         assert work.log_alpha is agent.log_alpha and work.rng is agent.rng
 
     def test_checkpoint_after_float32_steps_is_float64(self):
-        agent, tc = make_agent()
+        agent, tc = make_agent(grad_steps_per_episode=5)
         rng = np.random.default_rng(0)
         buf = TestSacUpdate()._filled_buffer(rng)
-        sac.sac_update(agent, buf, tc, n_steps=5)
+        sac.sac_update(agent, buf, tc)
         # the masters keep float64 detail a float32 round trip would lose
         flat = agent.q1.flat
         assert flat.dtype == np.float64
@@ -515,9 +515,9 @@ class TestWorkingCopies:
         assert sac.agent_to_json(again) == text
 
 
-def reference_update(agent, data, tc, n_steps):
+def reference_update(agent, data, tc):
     """sac_update with a fresh, buffer-free working copy for every step."""
-    for _ in range(n_steps):
+    for _ in range(tc.grad_steps_per_episode):
         batch = data.sample(tc.batch, agent.rng)
         sac._gradient_step(agent, sac.working_copy(agent, sac.WORK_DTYPE), batch, tc)
 
@@ -531,8 +531,9 @@ class TestReusedWorkingBuffers:
         buf = TestSacUpdate()._filled_buffer(rng, obs_dim, n_muscles)
         agents = []
         for update in (sac.sac_update, reference_update):
-            agent, tc = make_agent(obs_dim, n_muscles, cql_weight=cql_weight)
-            update(agent, buf, tc, 30)
+            agent, tc = make_agent(obs_dim, n_muscles, cql_weight=cql_weight,
+                                   grad_steps_per_episode=30)
+            update(agent, buf, tc)
             agents.append(agent)
         got, want = agents
         for net_got, net_want in zip(sac._nets(got), sac._nets(want)):
@@ -558,14 +559,16 @@ class TestReusedWorkingBuffers:
         """The critics' 2,560-row pool passes share one set of activation
         buffers: two SAC+CQL steps trace under 4.6 MB (one set per critic
         took about 5.5 MB)."""
-        agent, tc = make_agent(cql_weight=5.0, cql_num_samples=10, batch=256)
+        agent, tc = make_agent(cql_weight=5.0, cql_num_samples=10, batch=256,
+                               grad_steps_per_episode=2)
         buf = TestSacUpdate()._filled_buffer(np.random.default_rng(32))
-        assert traced_peak(sac.sac_update, agent, buf, tc, 2) < 4.6e6
+        assert traced_peak(sac.sac_update, agent, buf, tc) < 4.6e6
 
     def test_masters_keep_allocating(self):
-        agent, tc = make_agent(cql_weight=1.0, cql_num_samples=4, batch=64)
+        agent, tc = make_agent(cql_weight=1.0, cql_num_samples=4, batch=64,
+                               grad_steps_per_episode=2)
         buf = TestSacUpdate()._filled_buffer(np.random.default_rng(31), n=100)
-        sac.sac_update(agent, buf, tc, n_steps=2)
+        sac.sac_update(agent, buf, tc)
         assert all(net.scratch is None and net._acts is None for net in sac._nets(agent))
 
 
@@ -585,7 +588,8 @@ class TestNonFiniteGuard:
         np.testing.assert_array_equal(agent.q1.flat, before)
 
     def test_cql_term_is_named(self, monkeypatch):
-        agent, tc = make_agent(batch=32, cql_weight=1.0, cql_num_samples=2)
+        agent, tc = make_agent(batch=32, cql_weight=1.0, cql_num_samples=2,
+                               grad_steps_per_episode=3)
         data = self._data(np.random.default_rng(0))
         real = sac.cql_logsumexp
 
@@ -596,15 +600,15 @@ class TestNonFiniteGuard:
         # finite TD loss, overflowing log-sum-exp over the sampled pool
         monkeypatch.setattr(sac, "cql_logsumexp", overflowing)
         with pytest.raises(NonFiniteState, match=r"gradient step 1 of 3: cql"):
-            sac.sac_update(agent, data, tc, n_steps=3)
+            sac.sac_update(agent, data, tc)
 
 
 class TestCheckpoint:
     def test_round_trip_is_byte_stable(self, tmp_path):
-        agent, tc = make_agent()
+        agent, tc = make_agent(grad_steps_per_episode=3)
         rng = np.random.default_rng(0)
         buf = TestSacUpdate()._filled_buffer(rng)
-        sac.sac_update(agent, buf, tc, n_steps=3)
+        sac.sac_update(agent, buf, tc)
 
         text1 = sac.agent_to_json(agent)
         again = sac.agent_from_json(text1)
@@ -618,9 +622,9 @@ class TestCheckpoint:
 
     def test_loaded_agent_continues_training_identically(self, tmp_path):
         rng = np.random.default_rng(0)
-        agent, tc = make_agent(seed=9)
+        agent, tc = make_agent(seed=9, grad_steps_per_episode=5)
         buf = TestSacUpdate()._filled_buffer(rng)
-        sac.sac_update(agent, buf, tc, n_steps=5)
+        sac.sac_update(agent, buf, tc)
         path = tmp_path / "agent.json"
         sac.save_agent(agent, path)
         loaded = sac.load_agent(path)
@@ -629,16 +633,16 @@ class TestCheckpoint:
         assert loaded.opt_q1.t == agent.opt_q1.t
 
     def test_clone_equals_json_round_trip(self):
-        agent, tc = make_agent()
+        agent, tc = make_agent(grad_steps_per_episode=3)
         buf = TestSacUpdate()._filled_buffer(np.random.default_rng(0))
-        sac.sac_update(agent, buf, tc, n_steps=3)
+        sac.sac_update(agent, buf, tc)
         text = sac.agent_to_json(agent)
         clone = sac.clone_agent(agent)
         loaded = sac.agent_from_json(text)
         assert sac.agent_to_json(clone) == text
         assert clone.rng.bit_generator.state == loaded.rng.bit_generator.state
         # the clone shares no array with the agent
-        sac.sac_update(agent, buf, tc, n_steps=1)
+        sac.sac_update(agent, buf, tc)
         assert sac.agent_to_json(clone) == text
 
     def test_rejects_non_checkpoint(self):
@@ -651,9 +655,9 @@ class TestCheckpoint:
 
     def _trained_agent(self, n_actions):
         obs_dim = 3 + n_actions
-        agent, tc = make_agent(obs_dim=obs_dim, n_actions=n_actions)
+        agent, tc = make_agent(obs_dim=obs_dim, n_actions=n_actions, grad_steps_per_episode=3)
         buf = TestSacUpdate()._filled_buffer(np.random.default_rng(0), obs_dim, n_actions)
-        sac.sac_update(agent, buf, tc, n_steps=3)
+        sac.sac_update(agent, buf, tc)
         assert agent.opt_q1.t == 3 and np.any(agent.opt_q1.m != 0.0)
         return agent
 
@@ -702,10 +706,11 @@ class TestCheckpoint:
             sac.agent_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("key, value, error, rule", [
-        ("t", math.nan, NonFiniteState, "a non-negative integer"),
-        ("t", -3, ValueError, "a non-negative integer"),
-        ("t", 2.5, ValueError, "a non-negative integer"),
-        ("t", True, ValueError, "a non-negative integer"),
+        ("t", math.nan, NonFiniteState, "an integer in [0, 2**63)"),
+        ("t", -3, ValueError, "an integer in [0, 2**63)"),
+        ("t", 2.5, ValueError, "an integer in [0, 2**63)"),
+        ("t", True, ValueError, "an integer in [0, 2**63)"),
+        pytest.param("t", 10**400, ValueError, "an integer in [0, 2**63)", id="t-10**400"),
         ("lr", -1, ValueError, "a finite number > 0"),
         ("lr", math.inf, NonFiniteState, "a finite number > 0"),
         ("eps", 0.0, ValueError, "a finite number > 0"),
